@@ -29,7 +29,7 @@ print(f"simulating on {project.id}: {len(project.artifacts)} files, "
 # Accuracies 0.05..0.95, 25 repetitions each (the default is 100; trimmed
 # here so the demo runs in a couple of seconds), perfect and 50%-failing QA.
 config = GridConfig(repetitions=25, seed=20240817)
-records = run_grid(project, config, workers=4)
+records = run_grid(project, config)
 print(f"{len(records)} records")
 
 # How does the lower boundary move with precision for the constant-cost n-m

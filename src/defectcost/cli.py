@@ -6,12 +6,13 @@ Exit codes: 0 on success, 1 on data or domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .boundaries import boundary_interval
 from .costs import KIND_BY_CODE, CostParams, cost_init, cost_random
-from .errors import DataError
+from .errors import DataError, InputContractError
 from .io import parse_matrix, parse_prediction, summarize
 from .model import classify, project_view
 from .reporting import METRICS, emit_records, parse_records, render_scatter
@@ -80,20 +81,41 @@ def _cmd_boundaries(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _accuracy_grid(acc_min: float, acc_max: float, step: float) -> tuple[float, ...]:
+    """acc_min, acc_min + step, ... up to acc_max (with 1e-9 slack), rounded to 10 places."""
+    span = (acc_max - acc_min + 1e-9) / step
+    if not math.isfinite(span):
+        raise InputContractError(f"accuracy grid {acc_min}..{acc_max} by {step} is not finite")
+    count = math.floor(span) + 1 if span >= 0 else 0
+    return tuple(round(acc_min + i * step, 10) for i in range(count))
+
+
 def _cmd_simulate(args) -> int:
     project = parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem)
-    accuracies = []
-    value = args.acc_min
-    while value <= args.acc_max + 1e-9:
-        accuracies.append(round(value, 10))
-        value += args.acc_step
     config = GridConfig(
-        accuracies=tuple(accuracies),
+        accuracies=_accuracy_grid(args.acc_min, args.acc_max, args.acc_step),
         repetitions=args.reps,
         p_qf_values=tuple(args.p_qf) if args.p_qf else (0.0, 0.5),
         seed=args.seed,
     )
-    text = emit_records(run_grid(project, config, workers=args.workers), format="csv")
+    text = emit_records(run_grid(project, config), format="csv")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -143,12 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the accuracy-grid simulation, write record CSV")
     p.add_argument("--matrix", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--acc-min", type=float, default=0.05)
-    p.add_argument("--acc-max", type=float, default=0.95)
-    p.add_argument("--acc-step", type=float, default=0.05)
+    p.add_argument("--acc-min", type=_finite_float, default=0.05)
+    p.add_argument("--acc-max", type=_finite_float, default=0.95)
+    p.add_argument("--acc-step", type=_positive_float, default=0.05)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--p-qf", type=float, action="append")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 

@@ -31,9 +31,9 @@ def _split_lines(text: str) -> list[str]:
 def parse_matrix(text: str, project_id: str = "project") -> Project:
     """Parse a defect matrix into an n-m project.
 
-    Rejects duplicate file ids, non-binary cells, sizes below 1, ragged rows,
-    and defect columns that touch no file; every rejection names the line and
-    column."""
+    Rejects duplicate file ids, non-binary cells, sizes that are not ASCII
+    ``[1-9][0-9]*``, ragged rows, and defect columns that touch no file; every
+    rejection names the line and column."""
     lines = _split_lines(text)
     if not lines:
         raise ParseError("missing header", line=1)
@@ -65,13 +65,14 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
         if file_id in seen_files:
             raise ParseError(f"duplicate file id {file_id!r}", line=row_number, column=1)
         seen_files.add(file_id)
-        try:
-            size = int(fields[1])
-        except ValueError:
-            raise ParseError(f"size {fields[1]!r} is not an integer", line=row_number, column=2)
-        if size < 1:
-            raise ParseError(f"size must be >= 1, got {size}", line=row_number, column=2)
-        artifacts.append(Artifact(id=file_id, size=size))
+        size = fields[1]
+        if not (size.isascii() and size.isdigit() and size[0] != "0"):
+            raise ParseError(
+                f"size {size!r} is not an integer >= 1 in plain digits",
+                line=row_number,
+                column=2,
+            )
+        artifacts.append(Artifact(id=file_id, size=int(size)))
         for j, cell in enumerate(fields[2:]):
             if cell == "1":
                 members[j].append(file_id)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .costs import KIND_BY_CODE, ModelKind
 from .errors import InputContractError, ParseError
 from .model import ConfusionMatrix
-from .simulation import ExperimentRecord
+from .simulation import ExperimentRecord, RecordTable
 
 CSV_COLUMNS = (
     "project",
@@ -39,26 +39,6 @@ METRICS = ("precision", "recall")
 BOUNDS = ("lower", "upper")
 
 
-def _record_row(record: ExperimentRecord) -> dict:
-    return {
-        "project": record.project,
-        "accuracy": record.accuracy,
-        "repetition": record.repetition,
-        "p_qf": record.p_qf,
-        "qa_mode": record.kind.qa_mode.value,
-        "relationship": record.kind.relationship.value,
-        "tp": record.cm.tp,
-        "fp": record.cm.fp,
-        "tn": record.cm.tn,
-        "fn": record.cm.fn,
-        "precision": record.precision,
-        "recall": record.recall,
-        "lower": record.lower,
-        "upper": record.upper,
-        "cost_saving": record.cost_saving,
-    }
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -69,28 +49,74 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _csv_text(table: RecordTable) -> str:
+    """The record CSV, formatting each cell's and each setting's fields once.
+
+    Boundaries are floats, so ``repr`` writes them as ``_csv_cell`` would, an
+    unbounded one as ``inf``."""
+    for project in set(table.project):
+        if "," in project or "\n" in project or "\r" in project:
+            raise InputContractError(
+                f"project id {project!r} contains a comma or a line break, "
+                "which record CSV cannot hold"
+            )
+    heads = [
+        f"{_csv_cell(p)},{_csv_cell(a)},{_csv_cell(r)}"
+        for p, a, r in zip(table.project, table.accuracy, table.repetition)
+    ]
+    outcomes = [
+        ",".join(map(_csv_cell, fields))
+        for fields in zip(table.tp, table.fp, table.tn, table.fn, table.precision, table.recall)
+    ]
+    settings = [
+        f"{_csv_cell(p_qf)},{kind.qa_mode.value},{kind.relationship.value}"
+        for p_qf, kind in table.settings
+    ]
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(
+        f"{heads[c]},{settings[s]},{outcomes[c]},{lo!r},{up!r},{'true' if saving else 'false'}"
+        for c, s, lo, up, saving in zip(
+            table.cell, table.setting, table.lower, table.upper, table.cost_saving
+        )
+    )
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _json_text(table: RecordTable) -> str:
+    rows = []
+    for c, s, lo, up, saving in zip(
+        table.cell, table.setting, table.lower, table.upper, table.cost_saving
+    ):
+        p_qf, kind = table.settings[s]
+        values = (
+            table.project[c], table.accuracy[c], table.repetition[c], p_qf,
+            kind.qa_mode.value, kind.relationship.value,
+            table.tp[c], table.fp[c], table.tn[c], table.fn[c],
+            table.precision[c], table.recall[c],
+            "inf" if lo == math.inf else lo, "inf" if up == math.inf else up, saving,
+        )
+        rows.append(dict(zip(CSV_COLUMNS, values)))
+    return json.dumps(rows, indent=None, separators=(",", ":")) + "\n"
+
+
 def emit_records(records, format: str = "csv") -> str:
-    """Serialize experiment records to CSV or JSON, one row/object per record."""
-    rows = [_record_row(r) for r in records]
-    if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-    if format == "json":
-        for row in rows:
-            for key in ("lower", "upper"):
-                if row[key] == math.inf:
-                    row[key] = "inf"
-        return json.dumps(rows, indent=None, separators=(",", ":")) + "\n"
-    raise InputContractError(f"unknown format {format!r}, expected 'csv' or 'json'")
+    """Serialize experiment records to CSV or JSON, one row/object per record.
+
+    ``records`` is a ``run_grid`` table or any iterable of records, which is
+    gathered into the same columns first.  Record CSV has no quoting, so a
+    project id holding a comma or a line break is rejected."""
+    if format not in ("csv", "json"):
+        raise InputContractError(f"unknown format {format!r}, expected 'csv' or 'json'")
+    table = RecordTable.from_records(records)
+    return _csv_text(table) if format == "csv" else _json_text(table)
 
 
 def _build_record(row: dict, line: int) -> ExperimentRecord:
     def number(name, convert):
         try:
             return convert(row[name])
-        except (ValueError, KeyError):
+        except (ValueError, TypeError, KeyError):
             raise ParseError(f"bad value for {name!r}", line=line) from None
 
     def optional_float(name):
@@ -115,11 +141,23 @@ def _build_record(row: dict, line: int) -> ExperimentRecord:
         if saving not in ("true", "false"):
             raise ParseError(f"bad value for 'cost_saving': {saving!r}", line=line)
         saving = saving == "true"
+    elif not isinstance(saving, bool):
+        raise ParseError(f"bad value for 'cost_saving': {saving!r}", line=line)
+    # the ranges GridConfig accepts; the comparisons also reject nan
+    accuracy = number("accuracy", float)
+    if not 0.0 <= accuracy <= 1.0:
+        raise ParseError(f"accuracy {accuracy} outside [0, 1]", line=line)
+    repetition = number("repetition", int)
+    if repetition < 0:
+        raise ParseError(f"repetition must be >= 0, got {repetition}", line=line)
+    p_qf = number("p_qf", float)
+    if not 0.0 <= p_qf < 1.0:
+        raise ParseError(f"p_qf {p_qf} outside [0, 1)", line=line)
     return ExperimentRecord(
         project=str(row["project"]),
-        accuracy=number("accuracy", float),
-        repetition=number("repetition", int),
-        p_qf=number("p_qf", float),
+        accuracy=accuracy,
+        repetition=repetition,
+        p_qf=p_qf,
         kind=kind,
         cm=ConfusionMatrix(
             tp=number("tp", int),

@@ -17,17 +17,18 @@ by chaining the SplitMix64 finalizer:
     h = splitmix64(h ^ accuracy_index)
     h = splitmix64(h ^ repetition_index)
 
-so results are a pure function of the inputs, independent of evaluation order
-and of how many workers evaluate the grid.  One labeling per (accuracy,
-repetition) cell is shared by all failure probabilities and model kinds, which
-isolates their effect from sampling noise.  Records are sorted by (accuracy,
-repetition, p_qf, kind) before they are returned.
+so results are a pure function of the inputs, independent of evaluation
+order.  One labeling per (accuracy, repetition) cell is shared by all failure
+probabilities and model kinds, which isolates their effect from sampling
+noise.  Records come in canonical order: by accuracy value, repetition, p_qf
+and kind, with cells of equal accuracy values in grid order within each
+(repetition, p_qf, kind).
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,18 @@ from .model import (
     Prediction,
     Project,
     Relationship,
-    precision,
-    recall,
 )
 
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_ACCURACIES: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DEFAULT_P_QF_VALUES: tuple[float, ...] = (0.0, 0.5)
+
+# run_grid stacks the labelings of up to _BLOCK_CELLS cells and reduces them
+# together, but never more than _BLOCK_LABELS labels at once, so memory stays
+# flat: a project of _BLOCK_LABELS files or more is evaluated one cell at a time.
+_BLOCK_CELLS = 64
+_BLOCK_LABELS = 1 << 16
 
 
 def splitmix64(value: int) -> int:
@@ -65,11 +70,11 @@ def cell_seed(master_seed: int, accuracy_index: int, repetition_index: int) -> i
     return mixed
 
 
-def _simulate_labels(project: Project, accuracy: float, seed: int) -> np.ndarray:
+def _simulate_labels(truth: np.ndarray, accuracy: float, seed: int, out=None) -> np.ndarray:
+    """Predicted-defective flags: each true label is kept with probability ``accuracy``."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    truth = project.defective_mask
     correct = rng.random(len(truth)) < accuracy
-    return np.where(correct, truth, ~truth).astype(np.int8)
+    return np.equal(correct, truth, out=out)
 
 
 def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Prediction:
@@ -81,8 +86,8 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     """
     if not 0.0 <= accuracy <= 1.0:
         raise InputContractError(f"accuracy must be in [0, 1], got {accuracy}")
-    labels = _simulate_labels(project, accuracy, cell_seed)
-    return Prediction(labels={a.id: int(v) for a, v in zip(project.artifacts, labels)})
+    labels = _simulate_labels(project.defective_mask, accuracy, cell_seed).astype(np.int8)
+    return Prediction(labels=dict(zip((a.id for a in project.artifacts), labels.tolist())))
 
 
 @dataclass(frozen=True)
@@ -136,122 +141,227 @@ class ExperimentRecord:
     cost_saving: bool
 
 
-class _GridEvaluator:
-    """Precomputed per-view incidence data for fast cell evaluation.
+class RecordTable(Sequence):
+    """Experiment records stored as columns; items are ``ExperimentRecord`` row views.
 
-    Produces, per labeling, exactly the boundary values that ``classify`` plus
-    ``boundary_interval`` would on the corresponding view; the equivalence is
-    pinned by tests.
+    A cell is one labeling: its project, accuracy, repetition, confusion
+    counts and metrics are stored once, in the cell columns.  A setting is one
+    (p_qf, kind) pair.  Row ``i`` evaluates cell ``cell[i]`` under setting
+    ``setting[i]``, and has its own ``lower``, ``upper`` and ``cost_saving``.
+    Every column is a list of the values a record holds.  Records are built on
+    access; a table equals any sequence of the same records.
     """
 
-    def __init__(self, project: Project, config: GridConfig):
-        self.project = project
-        self.config = config
-        self.truth = project.defective_mask
-        self.sizes = project.sizes.astype(np.float64)
-        self.total_size = float(self.sizes.sum())
-        self.cards = project.defect_cardinalities
-        self.indices, self.starts = project._member_csr
-        # expected escape weight (1 - p_qf)^|d| per defect, per p_qf value
-        self.nm_weights = {
-            p: (1.0 - p) ** self.cards.astype(np.float64) for p in config.p_qf_values
+    CELL_COLUMNS = (
+        "project", "accuracy", "repetition", "tp", "fp", "tn", "fn", "precision", "recall",
+    )
+    ROW_COLUMNS = ("cell", "setting", "lower", "upper", "cost_saving")
+
+    def __init__(self, cells: dict, settings: Sequence, rows: dict):
+        for name in self.CELL_COLUMNS:
+            setattr(self, name, cells[name])
+        self.settings = tuple(settings)
+        for name in self.ROW_COLUMNS:
+            setattr(self, name, rows[name])
+
+    @classmethod
+    def from_records(cls, records) -> RecordTable:
+        """Gather records into columns, one cell per record."""
+        if isinstance(records, RecordTable):
+            return records
+        records = list(records)
+        setting_index: dict[tuple, int] = {}
+        cms = [r.cm for r in records]
+        cells = {
+            "project": [r.project for r in records],
+            "accuracy": [r.accuracy for r in records],
+            "repetition": [r.repetition for r in records],
+            "tp": [cm.tp for cm in cms],
+            "fp": [cm.fp for cm in cms],
+            "tn": [cm.tn for cm in cms],
+            "fn": [cm.fn for cm in cms],
+            "precision": [r.precision for r in records],
+            "recall": [r.recall for r in records],
         }
-        self.nm_weight_totals = {p: float(w.sum()) for p, w in self.nm_weights.items()}
-        # number of (defect, artifact) incidence pairs touching each artifact
-        degree = np.zeros(len(project.artifacts), dtype=np.int64)
-        if len(self.indices):
-            np.add.at(degree, self.indices, 1)
-        self.degree = degree.astype(np.float64)
-        self.total_pairs = float(self.cards.sum())
-        self.needs_nm = any(k.relationship is Relationship.N_TO_M for k in config.model_kinds)
-
-    def cell_records(self, accuracy_index: int, repetition: int) -> list[ExperimentRecord]:
-        config = self.config
-        accuracy = config.accuracies[accuracy_index]
-        seed = cell_seed(config.seed, accuracy_index, repetition)
-        labels = _simulate_labels(self.project, accuracy, seed)
-        predicted = labels.astype(bool)
-        tp = int(np.count_nonzero(self.truth & predicted))
-        fp = int(np.count_nonzero(predicted)) - tp
-        fn = int(np.count_nonzero(self.truth)) - tp
-        tn = len(labels) - tp - fp - fn
-        cm = ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-        prec = precision(cm)
-        rec = recall(cm)
-        size_pred = float(self.sizes[predicted].sum())
-        qa_terms = {
-            QAMode.CONSTANT: (float(tp + fp), float(tn + fn)),
-            QAMode.SIZE_AWARE: (size_pred, self.total_size - size_pred),
+        rows = {
+            "cell": list(range(len(records))),
+            "setting": [
+                setting_index.setdefault((r.p_qf, r.kind), len(setting_index)) for r in records
+            ],
+            "lower": [r.lower for r in records],
+            "upper": [r.upper for r in records],
+            "cost_saving": [r.cost_saving for r in records],
         }
-        if self.needs_nm and len(self.cards):
-            pred_defects = np.minimum.reduceat(predicted[self.indices], self.starts[:-1])
-        else:
-            pred_defects = np.zeros(0, dtype=bool)
-        n_pred_1m = float(self.degree[predicted].sum())
-        records = []
-        for p_qf in config.p_qf_values:
-            keep = 1.0 - p_qf
-            denominators = {}
-            if self.needs_nm:
-                if len(self.cards):
-                    lower_den_nm = float(self.nm_weights[p_qf][pred_defects].sum())
-                else:
-                    lower_den_nm = 0.0
-                denominators[Relationship.N_TO_M] = (
-                    lower_den_nm,
-                    self.nm_weight_totals[p_qf] - lower_den_nm,
-                )
-            denominators[Relationship.ONE_TO_M] = (
-                n_pred_1m * keep,
-                (self.total_pairs - n_pred_1m) * keep,
-            )
-            denominators[Relationship.ONE_TO_ONE] = (tp * keep, fn * keep)
-            for kind in config.model_kinds:
-                qa_spent, qa_unspent = qa_terms[kind.qa_mode]
-                lower_den, upper_den = denominators[kind.relationship]
-                lower = qa_spent / lower_den if lower_den != 0 else math.inf
-                upper = qa_unspent / upper_den if upper_den != 0 else math.inf
-                records.append(
-                    ExperimentRecord(
-                        project=self.project.id,
-                        accuracy=accuracy,
-                        repetition=repetition,
-                        p_qf=p_qf,
-                        kind=kind,
-                        cm=cm,
-                        precision=prec,
-                        recall=rec,
-                        lower=lower,
-                        upper=upper,
-                        cost_saving=math.isfinite(lower) and lower < upper,
-                    )
-                )
-        return records
+        return cls(cells, list(setting_index), rows)
+
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def _record(self, i: int, cm: ConfusionMatrix | None = None) -> ExperimentRecord:
+        c = self.cell[i]
+        p_qf, kind = self.settings[self.setting[i]]
+        return ExperimentRecord(
+            project=self.project[c],
+            accuracy=self.accuracy[c],
+            repetition=self.repetition[c],
+            p_qf=p_qf,
+            kind=kind,
+            cm=cm or ConfusionMatrix(self.tp[c], self.fp[c], self.tn[c], self.fn[c]),
+            precision=self.precision[c],
+            recall=self.recall[c],
+            lower=self.lower[i],
+            upper=self.upper[i],
+            cost_saving=self.cost_saving[i],
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(len(self)))]
+        return self._record(range(len(self))[index])
+
+    def __iter__(self):
+        cms = [ConfusionMatrix(*counts) for counts in zip(self.tp, self.fp, self.tn, self.fn)]
+        for i, c in enumerate(self.cell):
+            yield self._record(i, cms[c])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<RecordTable of {len(self)} records>"
 
 
-def run_grid(project: Project, config: GridConfig, workers: int = 1) -> list[ExperimentRecord]:
+def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Draw every cell's labeling and reduce it; cell ``a * repetitions + r``.
+
+    Returns the (cells, 4) label sums [predicted artifacts, true positives,
+    predicted size, predicted (defect, artifact) incidence pairs] and the
+    (cells, 2, p_qf values) n-m escape weights (1 - p_qf)^|d| summed over the
+    predicted and the missed defects.  Label rows are stacked into blocks and
+    reduced with matrix products; the integer sums are exact in float64.
+    """
+    n = len(project.artifacts)
+    truth = project.defective_mask
+    indices, starts = project._member_csr
+    columns = np.column_stack(
+        [np.ones(n), truth, project.sizes, np.bincount(indices, minlength=n)]
+    )
+    cards = project.defect_cardinalities.astype(np.float64)
+    escape = np.column_stack([(1.0 - p) ** cards for p in config.p_qf_values])
+    repetitions = config.repetitions
+    n_cells = len(config.accuracies) * repetitions
+    sums = np.empty((n_cells, 4))
+    escaped = np.zeros((n_cells, 2, len(config.p_qf_values)))
+    block = max(1, min(_BLOCK_CELLS, _BLOCK_LABELS // max(n, 1)))
+    labels = np.empty((block, n))
+    # cell_seed(config.seed, a, r), mixing the master seed and each accuracy index once
+    master = splitmix64(config.seed)
+    seeds = [
+        splitmix64(mixed ^ r)
+        for mixed in (splitmix64(master ^ a) for a in range(len(config.accuracies)))
+        for r in range(repetitions)
+    ]
+    for start in range(0, n_cells, block):
+        stop = min(start + block, n_cells)
+        rows = labels[: stop - start]
+        for row, cell in zip(rows, range(start, stop)):
+            _simulate_labels(truth, config.accuracies[cell // repetitions], seeds[cell], row)
+        sums[start:stop] = rows @ columns
+        if len(cards):
+            hit = np.minimum.reduceat(rows[:, indices], starts[:-1], axis=1)
+            escaped[start:stop, 0] = hit @ escape
+            escaped[start:stop, 1] = (1.0 - hit) @ escape
+    return sums, escaped
+
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator, unbounded (inf) where the denominator is 0."""
+    out = np.full(np.broadcast_shapes(numerator.shape, denominator.shape), np.inf)
+    return np.divide(numerator, denominator, out=out, where=denominator != 0)
+
+
+def _canonical_rows(config: GridConfig, n_settings: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cell, setting) of every row, sorted by accuracy value, repetition and setting.
+
+    Cells whose accuracies are equal interleave in grid order at the finest
+    level, as a stable sort on (accuracy, repetition, p_qf, kind) puts them.
+    """
+    repetitions = config.repetitions
+    order = sorted(range(len(config.accuracies)), key=config.accuracies.__getitem__)
+    cells, settings = [], []
+    for _, group in itertools.groupby(order, key=config.accuracies.__getitem__):
+        members = np.array(list(group))
+        shape = (repetitions, n_settings, len(members))
+        cell = members * repetitions + np.arange(repetitions)[:, None, None]
+        cells.append(np.broadcast_to(cell, shape).ravel())
+        settings.append(np.broadcast_to(np.arange(n_settings)[:, None], shape).ravel())
+    return np.concatenate(cells), np.concatenate(settings)
+
+
+def run_grid(project: Project, config: GridConfig) -> RecordTable:
     """Evaluate the full simulation grid on an n-m project.
 
-    Emits exactly ``len(accuracies) * repetitions * len(p_qf_values) *
-    len(model_kinds)`` records.  Equal inputs produce equal outputs no matter
-    how many workers are used.
+    Returns exactly ``len(accuracies) * repetitions * len(p_qf_values) *
+    len(model_kinds)`` records in canonical order.  Equal inputs produce equal
+    outputs.
     """
     if project.relationship is not Relationship.N_TO_M:
         raise InputContractError("run_grid expects the full n-m project")
-    if workers < 1:
-        raise InputContractError(f"workers must be >= 1, got {workers}")
-    evaluator = _GridEvaluator(project, config)
-    cells = [
-        (acc_idx, rep)
-        for acc_idx in range(len(config.accuracies))
-        for rep in range(config.repetitions)
-    ]
-    if workers == 1:
-        per_cell = [evaluator.cell_records(a, r) for a, r in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(lambda c: evaluator.cell_records(*c), cells))
-    records = [record for cell in per_cell for record in cell]
-    kind_order = {kind: i for i, kind in enumerate(ALL_KINDS)}
-    records.sort(key=lambda r: (r.accuracy, r.repetition, r.p_qf, kind_order[r.kind]))
-    return records
+    sums, escaped = _cell_sums(project, config)
+    n = len(project.artifacts)
+    n_defective = int(np.count_nonzero(project.defective_mask))
+    predicted, tp, predicted_size, predicted_pairs = sums.T
+    fn = n_defective - tp
+    keep = 1.0 - np.array(config.p_qf_values)
+    # QA spent and unspent per QA mode (cells,); escape weight prevented and
+    # lost per view (cells, p_qf values)
+    qa = {
+        QAMode.CONSTANT: (predicted, n - predicted),
+        QAMode.SIZE_AWARE: (predicted_size, float(project.sizes.sum()) - predicted_size),
+    }
+    total_pairs = float(project.defect_cardinalities.sum())
+    weight = {
+        Relationship.N_TO_M: (escaped[:, 0], escaped[:, 1]),
+        Relationship.ONE_TO_M: (
+            predicted_pairs[:, None] * keep,
+            (total_pairs - predicted_pairs)[:, None] * keep,
+        ),
+        Relationship.ONE_TO_ONE: (tp[:, None] * keep, fn[:, None] * keep),
+    }
+    kinds = config.model_kinds
+    lower = np.empty((len(sums), len(keep), len(kinds)))
+    upper = np.empty_like(lower)
+    for k, kind in enumerate(kinds):
+        spent, unspent = qa[kind.qa_mode]
+        prevented, lost = weight[kind.relationship]
+        lower[:, :, k] = _ratio(spent[:, None], prevented)
+        upper[:, :, k] = _ratio(unspent[:, None], lost)
+    settings = [(p_qf, kind) for p_qf in config.p_qf_values for kind in kinds]
+    row_cell, row_setting = _canonical_rows(config, len(settings))
+    lower = lower.reshape(len(sums), -1)[row_cell, row_setting]
+    upper = upper.reshape(len(sums), -1)[row_cell, row_setting]
+    counts = sums[:, :2].astype(np.int64)
+    tps = counts[:, 1].tolist()
+    fps = (counts[:, 0] - counts[:, 1]).tolist()
+    fns = [n_defective - t for t in tps]
+    cells = {
+        "project": [project.id] * len(sums),
+        "accuracy": [a for a in config.accuracies for _ in range(config.repetitions)],
+        "repetition": list(range(config.repetitions)) * len(config.accuracies),
+        "tp": tps,
+        "fp": fps,
+        "tn": [n - t - f - m for t, f, m in zip(tps, fps, fns)],
+        "fn": fns,
+        "precision": [t / (t + f) if t + f else None for t, f in zip(tps, fps)],
+        "recall": [t / n_defective if n_defective else None for t in tps],
+    }
+    rows = {
+        "cell": row_cell.tolist(),
+        "setting": row_setting.tolist(),
+        "lower": lower.tolist(),
+        "upper": upper.tolist(),
+        "cost_saving": (np.isfinite(lower) & (lower < upper)).tolist(),
+    }
+    return RecordTable(cells, settings, rows)

@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from defectcost import parse_records
+from defectcost import DEFAULT_ACCURACIES, parse_records
 from defectcost.cli import cli_dispatch
 
 MATRIX_E = "file,loc,d1,d2\ns1,100,1,1\ns2,50,0,1\ns3,10,0,0\n"
@@ -134,3 +134,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("project,accuracy")
         assert len(out.strip().split("\n")) == 1 + 12
+
+
+class TestSimulateArguments:
+    @pytest.mark.parametrize("step", ["0", "-0.05", "nan", "inf", "-inf", "ten"])
+    def test_bad_acc_step_is_usage_error(self, matrix_path, step, capsys):
+        argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--acc-step", step]
+        assert cli_dispatch(argv) == 2
+        assert "--acc-step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--acc-min", "--acc-max"])
+    def test_non_finite_accuracy_bound_is_usage_error(self, matrix_path, flag, capsys):
+        assert cli_dispatch(["simulate", "--matrix", matrix_path, "--seed", "1", flag, "nan"]) == 2
+
+    def test_grid_too_fine_to_count_is_data_error(self, matrix_path, capsys):
+        argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--acc-step", "5e-324"]
+        assert cli_dispatch(argv) == 1
+
+    def test_default_accuracy_grid(self, matrix_path, capsys):
+        argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--reps", "1", "--p-qf", "0"]
+        assert cli_dispatch(argv) == 0
+        records = parse_records(capsys.readouterr().out)
+        assert tuple(r.accuracy for r in records[::6]) == DEFAULT_ACCURACIES
+
+    def test_project_id_with_comma_is_data_error(self, tmp_path, capsys):
+        matrix = tmp_path / "a,b.csv"
+        matrix.write_text(MATRIX_E)
+        out = tmp_path / "records.csv"
+        argv = ["simulate", "--matrix", str(matrix), "--seed", "1", "--reps", "1", "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        assert "comma" in capsys.readouterr().err
+        assert not out.exists()

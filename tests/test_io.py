@@ -53,6 +53,15 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="not an integer"):
             parse_matrix("file,loc,d1\ns1,ten,1\n")
 
+    @pytest.mark.parametrize("size", ["1_000", " 5", "5 ", "+5", "\u0663", "05", "-3", ""])
+    def test_size_must_be_plain_ascii_digits(self, size):
+        with pytest.raises(ParseError, match="not an integer") as err:
+            parse_matrix(f"file,loc,d1\ns0,7,0\ns1,{size},1\n")
+        assert err.value.line == 3 and err.value.column == 2
+
+    def test_large_plain_size_accepted(self):
+        assert parse_matrix("file,loc,d1\ns1,1000000,1\n").artifacts[0].size == 1_000_000
+
     def test_all_zero_defect_column(self):
         with pytest.raises(ParseError, match="d2"):
             parse_matrix("file,loc,d1,d2\ns1,10,1,0\n")

@@ -1,14 +1,19 @@
+import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
 from defectcost import (
+    Artifact,
     ConfusionMatrix,
     ExperimentRecord,
     GridConfig,
     InputContractError,
     ModelKind,
+    ParseError,
+    Project,
     QAMode,
     Relationship,
     emit_records,
@@ -88,6 +93,61 @@ class TestEmitRecords:
     def test_bad_header_rejected(self):
         with pytest.raises(Exception, match="header"):
             parse_records("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("project", ["a,b", "a\nb", "a\rb"])
+    def test_csv_rejects_project_id_it_cannot_hold(self, project):
+        with pytest.raises(InputContractError, match="comma or a line break"):
+            emit_records([record(), replace(record(), project=project)])
+        table = run_grid(
+            Project(project, (Artifact("f", 1),), ()), GridConfig(accuracies=(0.5,), repetitions=1)
+        )
+        with pytest.raises(InputContractError):
+            emit_records(table)
+        records = [replace(record(), project=project)]
+        assert parse_records(emit_records(records, format="json"), format="json") == records
+
+    def test_json_output_unchanged(self):
+        text = emit_records([record(precision=None, upper=math.inf)], format="json")
+        assert text == (
+            '[{"project":"p","accuracy":0.5,"repetition":0,"p_qf":0.0,"qa_mode":"const",'
+            '"relationship":"n-m","tp":4,"fp":1,"tn":10,"fn":6,"precision":null,'
+            '"recall":0.4,"lower":1.0,"upper":"inf","cost_saving":true}]\n'
+        )
+
+
+class TestParseRecordsStrict:
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("accuracy", "nan"),
+            ("accuracy", "1.5"),
+            ("accuracy", "-0.1"),
+            ("p_qf", "nan"),
+            ("p_qf", "1.0"),
+            ("p_qf", "-0.5"),
+            ("repetition", "-1"),
+        ],
+    )
+    def test_csv_field_out_of_range(self, column, value):
+        header, row = emit_records([record()]).split("\n")[:2]
+        fields = row.split(",")
+        fields[header.split(",").index(column)] = value
+        with pytest.raises(ParseError, match=column) as err:
+            parse_records(f"{header}\n{','.join(fields)}\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("saving", [1, 0, None, 1.0])
+    def test_json_cost_saving_must_be_boolean(self, saving):
+        rows = json.loads(emit_records([record()], format="json"))
+        rows[0]["cost_saving"] = saving
+        with pytest.raises(ParseError, match="cost_saving"):
+            parse_records(json.dumps(rows), format="json")
+
+    def test_json_null_number_rejected(self):
+        rows = json.loads(emit_records([record()], format="json"))
+        rows[0]["tp"] = None
+        with pytest.raises(ParseError, match="tp"):
+            parse_records(json.dumps(rows), format="json")
 
 
 class TestTrend:

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +22,14 @@ from defectcost import (
     emit_records,
     perfect_prediction,
     project_view,
+    random_project,
     run_grid,
     simulate_prediction,
     splitmix64,
 )
+from defectcost import simulation
+
+from .grid_reference import reference_grid
 
 
 def small_project() -> Project:
@@ -153,12 +159,11 @@ class TestRunGrid:
         for cms in by_cell.values():
             assert len(cms) == 1
 
-    def test_deterministic_across_runs_and_workers(self, project_e):
+    def test_deterministic_across_runs(self, project_e):
         config = GridConfig(accuracies=(0.3, 0.6), repetitions=4, seed=99)
-        first = run_grid(project_e, config, workers=1)
-        second = run_grid(project_e, config, workers=1)
-        threaded = run_grid(project_e, config, workers=4)
-        assert emit_records(first) == emit_records(second) == emit_records(threaded)
+        first = run_grid(project_e, config)
+        second = run_grid(project_e, config)
+        assert emit_records(first) == emit_records(second)
 
     def test_requires_n_to_m_project(self, project_e):
         view = project_view(project_e, Relationship.ONE_TO_ONE)
@@ -167,8 +172,6 @@ class TestRunGrid:
 
     def test_records_match_public_route(self, rng):
         """Grid output must equal classify + boundary_interval on each view."""
-        from defectcost import random_project
-
         project = random_project(rng, max_artifacts=25, max_defects=8)
         config = GridConfig(accuracies=(0.35, 0.75), repetitions=3, seed=1234)
         records = run_grid(project, config)
@@ -189,6 +192,121 @@ class TestRunGrid:
                     assert mine == reference
             assert record.cost_saving == interval.cost_saving_possible
 
+    def test_missed_escape_weight_summed_exactly(self):
+        # Ten one-file defects and one twelve-file defect at p_qf 0.7: the big
+        # defect's escape weight 0.3**12 is 2e-7 of the total, so the total
+        # minus the predicted weight would keep only part of its bits.
+        files = tuple(Artifact(f"f{i}", 1) for i in range(12))
+        defects = tuple(Defect(f"d{i}", frozenset({f"f{i}"})) for i in range(10))
+        defects += (Defect("big", frozenset(a.id for a in files)),)
+        project = Project("p", files, defects)
+        kind = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
+        config = GridConfig(
+            accuracies=(0.9,), repetitions=40, p_qf_values=(0.7,), seed=3, model_kinds=(kind,)
+        )
+        escape = (1.0 - 0.7) ** project.defect_cardinalities.astype(np.float64)
+        weight = {d.id: Fraction(float(w)) for d, w in zip(defects, escape)}
+        checked = 0
+        for record in run_grid(project, config):
+            prediction = simulate_prediction(project, 0.9, cell_seed(3, 0, record.repetition))
+            missed = classify(project, prediction).missed_defects
+            if "big" in missed:
+                exact = (record.cm.tn + record.cm.fn) / sum(weight[d] for d in missed)
+                assert abs(Fraction(record.upper) - exact) <= Fraction(1e-15) * exact
+                checked += 1
+        assert checked >= 5
+
     def test_perfect_prediction_matches_simulated_at_accuracy_one(self, project_e):
         prediction = simulate_prediction(project_e, 1.0, cell_seed(0, 0, 0))
         assert prediction == perfect_prediction(project_e)
+
+
+def assert_matches_reference(table, reference, rel=0.0):
+    """Rows equal the reference loop's; with ``rel``, bounds agree to that relative tolerance."""
+    assert len(table) == len(reference)
+    for mine, ref in zip(table, reference):
+        if rel == 0.0:
+            assert mine == ref
+            continue
+        assert (mine.project, mine.accuracy, mine.repetition, mine.p_qf, mine.kind) == (
+            ref.project, ref.accuracy, ref.repetition, ref.p_qf, ref.kind
+        )
+        assert (mine.cm, mine.precision, mine.recall) == (ref.cm, ref.precision, ref.recall)
+        for value, expected in ((mine.lower, ref.lower), (mine.upper, ref.upper)):
+            if math.isinf(expected):
+                assert value == expected
+            else:
+                assert abs(value - expected) <= rel * max(1.0, abs(expected))
+        tie = math.isfinite(ref.lower) and abs(ref.lower - ref.upper) <= rel * max(1.0, ref.upper)
+        assert mine.cost_saving == ref.cost_saving or tie
+
+
+class TestAgainstReferenceLoop:
+    """The columnar kernel against the per-cell loop it replaced (tests/grid_reference.py)."""
+
+    def test_random_projects(self, rng):
+        config = GridConfig(accuracies=(0.1, 0.5, 0.9), repetitions=5, seed=77)
+        for _ in range(25):
+            project = random_project(rng, max_artifacts=40, max_defects=10)
+            assert_matches_reference(run_grid(project, config), reference_grid(project, config))
+
+    def test_unsorted_and_duplicate_accuracies(self, rng):
+        project = random_project(rng, max_artifacts=30, max_defects=8)
+        config = GridConfig(accuracies=(0.9, 0.3, 0.9, 0.0, 0.3, 1.0), repetitions=3, seed=5)
+        assert_matches_reference(run_grid(project, config), reference_grid(project, config))
+
+    def test_subset_of_model_kinds(self, rng):
+        project = random_project(rng, max_artifacts=30, max_defects=8)
+        kinds = (ModelKind(QAMode.SIZE_AWARE, Relationship.ONE_TO_M), ALL_KINDS[0])
+        config = GridConfig(accuracies=(0.4, 0.8), repetitions=4, seed=6, model_kinds=kinds)
+        table = run_grid(project, config)
+        assert {r.kind for r in table} == set(kinds)
+        assert_matches_reference(table, reference_grid(project, config))
+
+    def test_project_without_defects(self):
+        project = Project("clean", tuple(Artifact(f"f{i}", 3 + i) for i in range(9)), ())
+        config = GridConfig(accuracies=(0.2, 0.7), repetitions=3, seed=7)
+        table = run_grid(project, config)
+        assert all(r.recall is None and r.lower == math.inf for r in table)
+        assert_matches_reference(table, reference_grid(project, config))
+
+    def test_one_cell_per_block(self, rng, monkeypatch):
+        project = random_project(rng, max_artifacts=30, max_defects=8)
+        config = GridConfig(accuracies=(0.25, 0.75), repetitions=7, seed=8)
+        expected = reference_grid(project, config)
+        for labels in (1, 3 * len(project.artifacts)):
+            monkeypatch.setattr(simulation, "_BLOCK_LABELS", labels)
+            assert_matches_reference(run_grid(project, config), expected)
+
+    def test_non_dyadic_p_qf_within_tolerance(self, rng):
+        # (1 - 0.3)^|d| is not a dyadic fraction, so the n-m escape weights
+        # summed in another order may differ in the last bits
+        config = GridConfig(accuracies=(0.2, 0.6, 0.95), repetitions=5, p_qf_values=(0.3,), seed=9)
+        for _ in range(25):
+            project = random_project(rng, max_artifacts=40, max_defects=10)
+            assert_matches_reference(
+                run_grid(project, config), reference_grid(project, config), rel=1e-12
+            )
+
+
+class TestRecordTable:
+    def test_sequence_of_row_views(self, project_e):
+        config = GridConfig(accuracies=(0.3, 0.8), repetitions=2, seed=10)
+        table = run_grid(project_e, config)
+        reference = reference_grid(project_e, config)
+        assert len(table) == len(reference) == 2 * 2 * 2 * 6
+        assert table[0] == reference[0] and table[-1] == reference[-1]
+        assert table[3:7] == reference[3:7]
+        assert list(table) == reference
+        assert table == reference and reference == table
+        assert table == run_grid(project_e, config)
+        with pytest.raises(IndexError):
+            table[len(table)]
+
+    def test_differs_from_other_records(self, project_e):
+        config = GridConfig(accuracies=(0.5,), repetitions=1, seed=11)
+        table = run_grid(project_e, config)
+        records = list(table)
+        assert table != records[:-1]
+        records[0] = replace(records[0], lower=records[0].lower + 1.0)
+        assert table != records
