@@ -11,14 +11,18 @@ import sys
 from pathlib import Path
 
 from .boundaries import boundary_interval
-from .costs import KIND_BY_CODE, CostParams, cost_init, cost_random
+from .costs import ALL_KINDS, KIND_BY_CODE, CostParams, cost_init, cost_random
 from .errors import DataError, InputContractError
 from .io import parse_matrix, parse_prediction, summarize
 from .model import classify, project_view
 from .reporting import METRICS, emit_records, parse_records, render_scatter
-from .simulation import GridConfig, run_grid
+from .simulation import DEFAULT_P_QF_VALUES, GridConfig, run_grid
 
 KIND_CODES = tuple(KIND_BY_CODE)
+# simulate refuses a grid of more records than this (the paper's grid has
+# 22,800), before it builds the grid: a tiny --acc-step or a huge --reps
+# would otherwise ask for memory without bound.
+MAX_GRID_RECORDS = 1_000_000
 
 
 def _read(path: str) -> str:
@@ -98,21 +102,27 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _accuracy_grid(acc_min: float, acc_max: float, step: float) -> tuple[float, ...]:
-    """acc_min, acc_min + step, ... up to acc_max (with 1e-9 slack), rounded to 10 places."""
+def _accuracy_count(acc_min: float, acc_max: float, step: float) -> int:
+    """How many accuracies acc_min, acc_min + step, ... reach acc_max (with 1e-9 slack)."""
     span = (acc_max - acc_min + 1e-9) / step
     if not math.isfinite(span):
         raise InputContractError(f"accuracy grid {acc_min}..{acc_max} by {step} is not finite")
-    count = math.floor(span) + 1 if span >= 0 else 0
-    return tuple(round(acc_min + i * step, 10) for i in range(count))
+    return math.floor(span) + 1 if span >= 0 else 0
 
 
 def _cmd_simulate(args) -> int:
+    count = _accuracy_count(args.acc_min, args.acc_max, args.acc_step)
+    p_qf_values = tuple(args.p_qf) if args.p_qf else DEFAULT_P_QF_VALUES
+    records = count * args.reps * len(set(p_qf_values)) * len(ALL_KINDS)
+    if records > MAX_GRID_RECORDS:
+        raise InputContractError(
+            f"the grid asks for {records} records, more than the {MAX_GRID_RECORDS} allowed"
+        )
     project = parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem)
     config = GridConfig(
-        accuracies=_accuracy_grid(args.acc_min, args.acc_max, args.acc_step),
+        accuracies=tuple(round(args.acc_min + i * args.acc_step, 10) for i in range(count)),
         repetitions=args.reps,
-        p_qf_values=tuple(args.p_qf) if args.p_qf else (0.0, 0.5),
+        p_qf_values=p_qf_values,
         seed=args.seed,
     )
     text = emit_records(run_grid(project, config), format="csv")

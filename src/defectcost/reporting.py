@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, count, repeat
 
-from .costs import KIND_BY_CODE, ModelKind
+import numpy as np
+
+from .costs import ALL_KINDS, ModelKind
 from .errors import InputContractError, ParseError
-from .model import ConfusionMatrix
-from .simulation import ExperimentRecord, RecordTable
+from .simulation import RecordTable
 
 CSV_COLUMNS = (
     "project",
@@ -112,86 +116,234 @@ def emit_records(records, format: str = "csv") -> str:
     return _csv_text(table) if format == "csv" else _json_text(table)
 
 
-def _build_record(row: dict, line: int) -> ExperimentRecord:
-    def number(name, convert):
+def _optional_float(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+def _in_unit(value) -> bool:
+    return value is None or 0.0 <= value <= 1.0
+
+
+_SAVING_VALUES = {"true": True, "false": False}
+_NON_NEGATIVE = (0.0).__le__
+# How each record field other than project, qa_mode and relationship is read
+# from its text: (convert, check, what the check requires).  The checks take
+# the ranges the grid produces; their comparisons also reject nan.
+_FIELD_RULES = {
+    "accuracy": (float, _in_unit, "in [0, 1]"),
+    "repetition": (int, _NON_NEGATIVE, ">= 0"),
+    "p_qf": (float, lambda p_qf: 0.0 <= p_qf < 1.0, "in [0, 1)"),
+    **{name: (int, _NON_NEGATIVE, ">= 0") for name in ("tp", "fp", "tn", "fn")},
+    **{name: (_optional_float, _in_unit, "in [0, 1] or empty") for name in METRICS},
+    **{name: (float, _NON_NEGATIVE, ">= 0 or inf") for name in BOUNDS},
+    "cost_saving": (_SAVING_VALUES.get, partial(operator.is_not, None), "true or false"),
+}
+_KIND_BY_FIELDS = {(k.qa_mode.value, k.relationship.value): k for k in ALL_KINDS}
+# Positions in CSV_COLUMNS of a record's cell fields (its labeling) and of its
+# setting fields (p_qf and kind); the other fields are the record's own.
+_CELL_FIELDS = tuple(CSV_COLUMNS.index(name) for name in RecordTable.CELL_COLUMNS)
+_SETTING_FIELDS = tuple(CSV_COLUMNS.index(name) for name in ("p_qf", "qa_mode", "relationship"))
+_OWN_FIELDS = ("lower", "upper", "cost_saving")
+# Record CSV is split into fields this many lines at a time, so the field
+# lists of a whole file are never held at once.
+_CHUNK_LINES = 4096
+# The JSON types each record field accepts, the ones emit_records writes; a
+# JSON boolean is not a number, and a JSON float is not a count.
+_NUMBER = (int, float)
+_JSON_TYPES = {
+    "project": (str,),
+    "accuracy": _NUMBER,
+    "repetition": (int,),
+    "p_qf": _NUMBER,
+    "qa_mode": (str,),
+    "relationship": (str,),
+    **{name: (int,) for name in ("tp", "fp", "tn", "fn")},
+    **{name: (*_NUMBER, type(None)) for name in METRICS},
+    **{name: _NUMBER for name in BOUNDS},
+    "cost_saving": (bool,),
+}
+
+
+def _read(name: str, texts) -> list:
+    """The values of one field's texts; ValueError when one is unreadable or out of range."""
+    convert, check, _ = _FIELD_RULES[name]
+    values = list(map(convert, texts))
+    if not all(map(check, values)):
+        raise ValueError(f"bad value for {name!r}")
+    return values
+
+
+def _row_problem(fields) -> str | None:
+    """Why one row of record fields cannot be read, or None."""
+    if len(fields) != len(CSV_COLUMNS):
+        return f"expected {len(CSV_COLUMNS)} fields, found {len(fields)}"
+    row = dict(zip(CSV_COLUMNS, fields))
+    if (row["qa_mode"], row["relationship"]) not in _KIND_BY_FIELDS:
+        return f"unknown model kind {row['qa_mode']!r}/{row['relationship']!r}"
+    for name, (convert, check, requirement) in _FIELD_RULES.items():
         try:
-            return convert(row[name])
-        except (ValueError, TypeError, KeyError):
-            raise ParseError(f"bad value for {name!r}", line=line) from None
+            value = convert(row[name])
+        except ValueError:
+            return f"bad value for {name!r}: {row[name]!r}"
+        if not check(value):
+            return f"{name} must be {requirement}, got {row[name]!r}"
+    return None
 
-    def optional_float(name):
-        value = row.get(name)
-        if value in (None, ""):
-            return None
-        return number(name, float)
 
-    def bound(name):
+class _KeyNumbers:
+    """Numbers 0, 1, ... for the distinct keys of a stream of rows, in order of first row."""
+
+    def __init__(self):
+        self.first_row: dict[tuple, int] = {}
+        self.number: dict[int, int] = {}
+
+    def add(self, key_columns, first: int) -> tuple[list, list]:
+        """The key numbers of rows ``first``, ``first + 1``, ... of the stream, and the
+        chunk positions of the rows whose key is new."""
+        rows = list(map(self.first_row.setdefault, zip(*key_columns), count(first)))
+        new = list(compress(count(), map(operator.eq, rows, count(first))))
+        base = len(self.number)
+        self.number.update(zip([first + i for i in new], range(base, base + len(new))))
+        return list(map(self.number.__getitem__, rows)), new
+
+
+class _TableReader:
+    """Gathers record fields, as the record CSV writes them, into table columns.
+
+    Each distinct cell and setting is converted and checked once, at its
+    first row, and every field is converted a column at a time.  Only when
+    a chunk of rows fails is it searched for its first bad row, which is
+    reported at its line.
+    """
+
+    def __init__(self):
+        self.cells = {name: [] for name in RecordTable.CELL_COLUMNS}
+        self.settings = []
+        self.rows = {name: [] for name in RecordTable.ROW_COLUMNS}
+        self.cell_keys = _KeyNumbers()
+        self.setting_keys = _KeyNumbers()
+
+    def add(self, lines, columns, rows) -> None:
+        """Append a chunk of rows read from the lines numbered ``lines``.
+
+        ``columns`` holds the chunk's text fields one sequence per CSV column,
+        or is None when a row has the wrong number of fields; ``rows`` yields
+        each row's fields and is read only to find a bad row."""
+        try:
+            if columns is None:
+                raise ValueError("wrong field count")
+            self._append(columns)
+        except ValueError:
+            for line, fields in zip(lines, rows):
+                problem = _row_problem(fields)
+                if problem is not None:
+                    raise ParseError(problem, line=line) from None
+            raise
+
+    def _append(self, columns) -> None:
+        first = len(self.rows["cell"])
+        cell, new = self.cell_keys.add([columns[i] for i in _CELL_FIELDS], first)
+        for name, i in zip(RecordTable.CELL_COLUMNS, _CELL_FIELDS):
+            texts = [columns[i][j] for j in new]
+            self.cells[name].extend(texts if name == "project" else _read(name, texts))
+        setting, new = self.setting_keys.add([columns[i] for i in _SETTING_FIELDS], first)
+        p_qf, qa_mode, relationship = ([columns[i][j] for j in new] for i in _SETTING_FIELDS)
+        kinds = list(map(_KIND_BY_FIELDS.get, zip(qa_mode, relationship)))
+        if None in kinds:
+            raise ValueError("unknown model kind")
+        self.settings.extend(zip(_read("p_qf", p_qf), kinds))
+        own = {name: _read(name, columns[CSV_COLUMNS.index(name)]) for name in _OWN_FIELDS}
+        self.rows["cell"].extend(cell)
+        self.rows["setting"].extend(setting)
+        for name, values in own.items():
+            self.rows[name].extend(values)
+
+    def table(self) -> RecordTable:
+        return RecordTable(self.cells, self.settings, self.rows)
+
+
+def _csv_chunks(text: str):
+    """(line numbers, columns, rows) of the record lines, ``_CHUNK_LINES`` lines at a time.
+
+    Lines are numbered as they stand in the text; blank lines are skipped.
+    Only ``\\n`` and ``\\r\\n`` end a line.  A chunk whose lines all hold
+    ``len(CSV_COLUMNS)`` fields is split into fields at once, and its columns
+    are slices of that one list."""
+    width = len(CSV_COLUMNS)
+    lines = text.replace("\r\n", "\n").split("\n")
+    header = next((i for i, line in enumerate(lines) if line), None)
+    if header is None or tuple(lines[header].split(",")) != CSV_COLUMNS:
+        raise ParseError("bad record CSV header", line=1 if header is None else header + 1)
+    for start in range(header + 1, len(lines), _CHUNK_LINES):
+        chunk = lines[start : start + _CHUNK_LINES]
+        numbers = range(start + 1, start + 1 + len(chunk))
+        if "" in chunk:
+            numbers = [n for n, line in zip(numbers, chunk) if line]
+            chunk = [line for line in chunk if line]
+        if not chunk:
+            continue
+        columns = None
+        if set(map(str.count, chunk, repeat(",", len(chunk)))) <= {width - 1}:
+            fields = ",".join(chunk).split(",")
+            columns = [fields[i::width] for i in range(width)]
+        yield numbers, columns, (line.split(",") for line in chunk)
+
+
+def _json_fields(row, line: int) -> list[str]:
+    """A JSON record's values as the record CSV writes them, after checking their JSON types."""
+    if not isinstance(row, dict):
+        raise ParseError(f"a record must be a JSON object, found {type(row).__name__}", line=line)
+    fields = []
+    for name, types in _JSON_TYPES.items():
+        if name not in row:
+            raise ParseError(f"missing {name!r}", line=line)
         value = row[name]
-        if value == "inf":
-            return math.inf
-        return number(name, float)
-
-    qa_mode = row.get("qa_mode")
-    relationship = row.get("relationship")
-    kind = KIND_BY_CODE.get(f"{qa_mode}-{relationship}")
-    if kind is None:
-        raise ParseError(f"unknown model kind {qa_mode!r}/{relationship!r}", line=line)
-    saving = row["cost_saving"]
-    if isinstance(saving, str):
-        if saving not in ("true", "false"):
-            raise ParseError(f"bad value for 'cost_saving': {saving!r}", line=line)
-        saving = saving == "true"
-    elif not isinstance(saving, bool):
-        raise ParseError(f"bad value for 'cost_saving': {saving!r}", line=line)
-    # the ranges GridConfig accepts; the comparisons also reject nan
-    accuracy = number("accuracy", float)
-    if not 0.0 <= accuracy <= 1.0:
-        raise ParseError(f"accuracy {accuracy} outside [0, 1]", line=line)
-    repetition = number("repetition", int)
-    if repetition < 0:
-        raise ParseError(f"repetition must be >= 0, got {repetition}", line=line)
-    p_qf = number("p_qf", float)
-    if not 0.0 <= p_qf < 1.0:
-        raise ParseError(f"p_qf {p_qf} outside [0, 1)", line=line)
-    return ExperimentRecord(
-        project=str(row["project"]),
-        accuracy=accuracy,
-        repetition=repetition,
-        p_qf=p_qf,
-        kind=kind,
-        cm=ConfusionMatrix(
-            tp=number("tp", int),
-            fp=number("fp", int),
-            tn=number("tn", int),
-            fn=number("fn", int),
-        ),
-        precision=optional_float("precision"),
-        recall=optional_float("recall"),
-        lower=bound("lower"),
-        upper=bound("upper"),
-        cost_saving=saving,
-    )
+        if name in BOUNDS and value == "inf":
+            value = math.inf
+        if type(value) not in types:
+            raise ParseError(f"bad value for {name!r}: {value!r}", line=line)
+        fields.append(_csv_cell(value))
+    return fields
 
 
-def parse_records(text: str, format: str = "csv") -> list[ExperimentRecord]:
-    """Read records back from ``emit_records`` output."""
-    if format == "json":
-        rows = json.loads(text)
-        return [_build_record(row, line=i + 1) for i, row in enumerate(rows)]
-    if format != "csv":
+def _json_chunks(text: str):
+    """(row numbers, columns, rows) of a JSON array of records, in one chunk."""
+    try:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as error:
+        raise ParseError(f"bad record JSON: {error}") from None
+    if not isinstance(document, list):
+        raise ParseError(f"record JSON must be an array, found {type(document).__name__}")
+    rows = [_json_fields(row, i) for i, row in enumerate(document, 1)]
+    columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+    yield range(1, len(rows) + 1), columns, rows
+
+
+def parse_records(text: str, format: str = "csv") -> RecordTable:
+    """Read records back from ``emit_records`` output.
+
+    Returns a ``RecordTable``: a ``Sequence`` of ``ExperimentRecord`` row
+    views over columns, equal to the list of records that was written.  CSV
+    and JSON take one path: a JSON record's values must have the JSON types
+    ``emit_records`` writes (integer counts and repetition, numbers, a string
+    or ``"inf"`` for a boundary, a boolean ``cost_saving``), and are then
+    read as the CSV fields they would be written as.  A value outside the
+    range the grid produces is rejected: an accuracy, precision or recall
+    outside [0, 1], a ``p_qf`` outside [0, 1), a negative count or
+    repetition, and a negative or ``nan`` boundary.  ``ParseError.line`` is
+    the line in the CSV text, counting blank lines, or the 1-based position
+    of the record in the JSON array.
+    """
+    if format == "csv":
+        chunks = _csv_chunks(text)
+    elif format == "json":
+        chunks = _json_chunks(text)
+    else:
         raise InputContractError(f"unknown format {format!r}, expected 'csv' or 'json'")
-    lines = [line for line in text.replace("\r\n", "\n").split("\n") if line != ""]
-    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
-        raise ParseError("bad record CSV header", line=1)
-    records = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(CSV_COLUMNS):
-            raise ParseError(
-                f"expected {len(CSV_COLUMNS)} fields, found {len(fields)}", line=line_number
-            )
-        records.append(_build_record(dict(zip(CSV_COLUMNS, fields)), line=line_number))
-    return records
+    reader = _TableReader()
+    for lines, columns, rows in chunks:
+        reader.add(lines, columns, rows)
+    return reader.table()
 
 
 @dataclass(frozen=True)
@@ -205,24 +357,44 @@ class TrendSeries:
     excluded: int
 
 
-def _usable_points(records, metric: str, kind: ModelKind, bound: str):
-    """(metric value, bound value) pairs for one kind, plus the exclusion count."""
+def _points(records, metric: str, kind: ModelKind, bounds) -> dict:
+    """Per bound, the metric and bound values of one kind's usable records, in order.
+
+    Maps each bound to (metric values, bound values, excluded count); a
+    record is excluded when its metric is undefined or its bound unbounded.
+    Any iterable of records is gathered into a ``RecordTable`` first."""
     if metric not in METRICS:
         raise InputContractError(f"metric must be one of {METRICS}, got {metric!r}")
-    if bound not in BOUNDS:
-        raise InputContractError(f"bound must be one of {BOUNDS}, got {bound!r}")
-    points = []
-    excluded = 0
-    for record in records:
-        if record.kind != kind:
-            continue
-        m = getattr(record, metric)
-        b = getattr(record, bound)
-        if m is None or not math.isfinite(b):
-            excluded += 1
-            continue
-        points.append((m, b))
-    return points, excluded
+    for bound in bounds:
+        if bound not in BOUNDS:
+            raise InputContractError(f"bound must be one of {BOUNDS}, got {bound!r}")
+    table = RecordTable.from_records(records)
+    settings = [s for s, (_, k) in enumerate(table.settings) if k == kind]
+    rows = np.flatnonzero(np.isin(np.asarray(table.setting, dtype=np.intp), settings))
+    cell_metric = [math.nan if m is None else m for m in getattr(table, metric)]
+    metric_values = np.asarray(cell_metric, dtype=np.float64)[
+        np.asarray(table.cell, dtype=np.intp)[rows]
+    ]
+    points = {}
+    for bound in bounds:
+        bound_values = np.asarray(getattr(table, bound), dtype=np.float64)[rows]
+        usable = np.isfinite(bound_values) & ~np.isnan(metric_values)
+        excluded = len(rows) - int(np.count_nonzero(usable))
+        points[bound] = (metric_values[usable], bound_values[usable], excluded)
+    return points
+
+
+def _bins(metric_values, bound_values, n_bins: int) -> tuple:
+    """(midpoint, mean, count) per equal-width metric bin; bin means are exact sums."""
+    if n_bins < 2:
+        raise InputContractError(f"n_bins must be >= 2, got {n_bins}")
+    index = np.clip(metric_values * n_bins, 0, n_bins - 1).astype(np.intp)
+    counts = np.bincount(index, minlength=n_bins)
+    groups = np.split(bound_values[np.argsort(index, kind="stable")], np.cumsum(counts)[:-1])
+    return tuple(
+        ((i + 0.5) / n_bins, math.fsum(values.tolist()) / count if count else 0.0, count)
+        for i, (values, count) in enumerate(zip(groups, counts.tolist()))
+    )
 
 
 def trend(records, metric: str, kind: ModelKind, bound: str, n_bins: int = 20) -> TrendSeries:
@@ -230,22 +402,17 @@ def trend(records, metric: str, kind: ModelKind, bound: str, n_bins: int = 20) -
 
     Cells with an undefined metric or an unbounded boundary are excluded and
     counted; empty bins keep count 0 and a filler mean of 0.  The result does
-    not depend on the order of the input records.
+    not depend on the order of the input records, nor on whether they come
+    as a ``RecordTable`` or a list.
     """
-    if n_bins < 2:
-        raise InputContractError(f"n_bins must be >= 2, got {n_bins}")
-    points, excluded = _usable_points(records, metric, kind, bound)
-    sums = [[] for _ in range(n_bins)]
-    for m, b in points:
-        index = min(int(m * n_bins), n_bins - 1)
-        sums[index].append(b)
-    bins = []
-    for i, values in enumerate(sums):
-        midpoint = (i + 0.5) / n_bins
-        count = len(values)
-        mean = math.fsum(values) / count if count else 0.0
-        bins.append((midpoint, mean, count))
-    return TrendSeries(metric=metric, kind=kind, bound=bound, bins=tuple(bins), excluded=excluded)
+    metric_values, bound_values, excluded = _points(records, metric, kind, (bound,))[bound]
+    return TrendSeries(
+        metric=metric,
+        kind=kind,
+        bound=bound,
+        bins=_bins(metric_values, bound_values, n_bins),
+        excluded=excluded,
+    )
 
 
 _WIDTH, _HEIGHT = 640, 480
@@ -263,25 +430,19 @@ def render_scatter(records, metric: str, kind: ModelKind, n_bins: int = 20) -> s
     Lower and upper boundaries are drawn in two colors; the polylines connect
     the non-empty bin means of ``trend``.  Equal inputs produce byte-identical
     output."""
-    point_sets = {}
-    trends = {}
-    total_points = 0
-    for bound in BOUNDS:
-        points, _ = _usable_points(records, metric, kind, bound)
-        point_sets[bound] = points
-        trends[bound] = trend(records, metric, kind, bound, n_bins=n_bins)
-        total_points += len(points)
-    if total_points == 0:
+    points = _points(records, metric, kind, BOUNDS)
+    if not any(len(bound_values) for _, bound_values, _ in points.values()):
         raise InputContractError("nothing to plot")
-    y_max = max(b for points in point_sets.values() for _, b in points)
+    y_max = max(float(b.max()) for _, b, _ in points.values() if len(b))
     y_max = y_max * 1.05 if y_max > 0 else 1.0
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(m: float) -> float:
+    # x and y of metric and bound values, floats or arrays
+    def sx(m):
         return _MARGIN_LEFT + m * plot_w
 
-    def sy(b: float) -> float:
+    def sy(b):
         return _MARGIN_TOP + (1.0 - b / y_max) * plot_h
 
     parts = [
@@ -320,12 +481,14 @@ def render_scatter(records, metric: str, kind: ModelKind, n_bins: int = 20) -> s
     )
     for bound in BOUNDS:
         color = _COLORS[bound]
-        for m, b in point_sets[bound]:
-            parts.append(
-                f'<circle cx="{_fmt(sx(m))}" cy="{_fmt(sy(b))}" r="2" fill="{color}" '
-                f'fill-opacity="0.45" class="point-{bound}"/>'
-            )
-        visible = [(mid, mean) for mid, mean, count in trends[bound].bins if count > 0]
+        metric_values, bound_values, _ = points[bound]
+        parts.extend(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{color}" '
+            f'fill-opacity="0.45" class="point-{bound}"/>'
+            for x, y in zip(sx(metric_values).tolist(), sy(bound_values).tolist())
+        )
+        bins = _bins(metric_values, bound_values, n_bins)
+        visible = [(mid, mean) for mid, mean, count in bins if count > 0]
         if visible:
             coords = " ".join(f"{_fmt(sx(m))},{_fmt(sy(b))}" for m, b in visible)
             parts.append(

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from defectcost import DEFAULT_ACCURACIES, parse_records
-from defectcost.cli import cli_dispatch
+from defectcost.cli import MAX_GRID_RECORDS, cli_dispatch
 
 MATRIX_E = "file,loc,d1,d2\ns1,100,1,1\ns2,50,0,1\ns3,10,0,0\n"
 PREDICTION_E = "file,label\ns1,1\ns2,0\ns3,0\n"
@@ -150,6 +150,22 @@ class TestSimulateArguments:
     def test_grid_too_fine_to_count_is_data_error(self, matrix_path, capsys):
         argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--acc-step", "5e-324"]
         assert cli_dispatch(argv) == 1
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--acc-step", "1e-12"],
+            ["--reps", "1000000000000"],
+            # one accuracy x 2 p_qf x 6 kinds: the smallest count over the limit
+            ["--acc-min", "0.5", "--acc-max", "0.5", "--reps", str(MAX_GRID_RECORDS // 12 + 1)],
+        ],
+    )
+    def test_grid_too_large_is_data_error(self, matrix_path, grid, tmp_path, capsys):
+        out = tmp_path / "records.csv"
+        argv = ["simulate", "--matrix", matrix_path, "--seed", "1", *grid, "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        assert f"more than the {MAX_GRID_RECORDS}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_accuracy_grid(self, matrix_path, capsys):
         argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--reps", "1", "--p-qf", "0"]

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectcost import (
+    ALL_KINDS,
     Artifact,
     ConfusionMatrix,
     ExperimentRecord,
@@ -20,8 +24,13 @@ from defectcost import (
     parse_records,
     render_scatter,
     run_grid,
+    sample_corpus,
     trend,
 )
+from defectcost.reporting import BOUNDS, CSV_COLUMNS, METRICS
+from defectcost.simulation import RecordTable
+
+from .record_reference import reference_parse_records, reference_trend
 
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
 
@@ -126,6 +135,13 @@ class TestParseRecordsStrict:
             ("p_qf", "1.0"),
             ("p_qf", "-0.5"),
             ("repetition", "-1"),
+            ("tp", "-4"),
+            ("tn", "-1"),
+            ("precision", "7.0"),
+            ("recall", "nan"),
+            ("lower", "-1.0"),
+            ("lower", "-inf"),
+            ("upper", "nan"),
         ],
     )
     def test_csv_field_out_of_range(self, column, value):
@@ -245,3 +261,247 @@ class TestRenderScatter:
             render_scatter([record(precision=None)], "precision", CONST_NM)
         with pytest.raises(InputContractError, match="nothing to plot"):
             render_scatter([], "precision", CONST_NM)
+
+
+# Legal project ids that str.splitlines would break apart or that read like values.
+ADVERSARIAL_IDS = ("", "inf", "é", "a\x85b", "a\u2028b", "a\x0bb", "p")
+unit_floats = st.floats(0.0, 1.0)
+
+
+@st.composite
+def record_lists(draw, max_cells=6, max_rows=30):
+    """Records over a few cells, so cells repeat, in no particular order."""
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ADVERSARIAL_IDS),
+                unit_floats,
+                st.integers(0, 10**6),
+                st.builds(ConfusionMatrix, *[st.integers(0, 10**6)] * 4),
+                st.none() | unit_floats,
+                st.none() | unit_floats,
+            ),
+            min_size=1,
+            max_size=max_cells,
+        )
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(cells),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.sampled_from(ALL_KINDS),
+                st.floats(min_value=0.0),
+                st.floats(min_value=0.0),
+                st.booleans(),
+            ),
+            max_size=max_rows,
+        )
+    )
+    return [
+        ExperimentRecord(project, accuracy, repetition, p_qf, kind, cm, precision, recall,
+                         lower, upper, saving)
+        for (project, accuracy, repetition, cm, precision, recall), p_qf, kind, lower, upper, saving
+        in rows
+    ]
+
+
+class TestRecordTableParse:
+    @settings(max_examples=60, deadline=None)
+    @given(record_lists(), st.sampled_from(["csv", "json"]))
+    def test_round_trip_with_adversarial_ids(self, records, fmt):
+        text = emit_records(records, format=fmt)
+        parsed = parse_records(text, format=fmt)
+        assert isinstance(parsed, RecordTable)
+        assert parsed == records
+        assert emit_records(parsed, format=fmt) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(record_lists(), st.sampled_from(["csv", "json"]))
+    def test_equals_the_per_row_parser(self, records, fmt):
+        text = emit_records(records, format=fmt)
+        table = parse_records(text, format=fmt)
+        reference = reference_parse_records(text, format=fmt)
+        assert table == reference
+        assert emit_records(table, format=fmt) == emit_records(reference, format=fmt)
+
+    def test_shuffled_grid_equals_the_per_row_parser(self, project_e, rng):
+        records = list(run_grid(project_e, GridConfig(accuracies=(0.7, 0.2, 0.7), repetitions=3)))
+        rng.shuffle(records)
+        for fmt in ("csv", "json"):
+            text = emit_records(records, format=fmt)
+            assert parse_records(text, format=fmt) == reference_parse_records(text, format=fmt)
+
+    def test_each_cell_and_setting_stored_once(self, project_e):
+        config = GridConfig(accuracies=(0.2, 0.8), repetitions=4, seed=3)
+        table = parse_records(emit_records(run_grid(project_e, config)))
+        assert len(table.accuracy) == 2 * 4
+        assert len(table.settings) == 2 * 6
+        assert len(table) == 2 * 4 * 2 * 6
+
+    def test_plot_fingerprint(self):
+        # sha256 of the concatenated render_scatter(parse_records(emit_records(
+        # run_grid(p, GridConfig(seed=424242)))), "precision", const-n-m) over
+        # sample_corpus(2024), as the per-row parser and list scans drew it
+        digest = hashlib.sha256()
+        for project in sample_corpus(2024):
+            text = emit_records(run_grid(project, GridConfig(seed=424242)))
+            digest.update(render_scatter(parse_records(text), "precision", CONST_NM).encode())
+        assert digest.hexdigest() == (
+            "c297c9f68da920c7a87fd586d7b4d44d60c582eefee9ea2cb4a2b9ec01ee3706"
+        )
+
+
+def _grid_csv_lines(project, repetitions):
+    config = GridConfig(accuracies=(0.3, 0.6), repetitions=repetitions, seed=5)
+    return emit_records(run_grid(project, config)).split("\n")
+
+
+def _corrupt(line: str, column: str, value: str) -> str:
+    fields = line.split(",")
+    fields[CSV_COLUMNS.index(column)] = value
+    return ",".join(fields)
+
+
+class TestParseErrorLines:
+    @pytest.mark.parametrize("line", [3, 2_000, 5_000, 9_601])
+    def test_bad_row_reported_at_its_own_line(self, project_e, line):
+        lines = _grid_csv_lines(project_e, 400)  # header, 9,600 rows, ""
+        lines[line - 1] = _corrupt(lines[line - 1], "upper", "x")
+        with pytest.raises(ParseError, match="upper") as err:
+            parse_records("\n".join(lines))
+        assert err.value.line == line
+
+    def test_first_bad_row_wins_whatever_its_column(self, project_e):
+        lines = _grid_csv_lines(project_e, 100)
+        lines[20] = _corrupt(lines[20], "cost_saving", "maybe")
+        lines[29] = _corrupt(lines[29], "accuracy", "2")
+        lines[39] = lines[39] + ",extra"
+        with pytest.raises(ParseError, match="cost_saving") as err:
+            parse_records("\n".join(lines))
+        assert err.value.line == 21
+
+    def test_blank_lines_are_counted(self, project_e):
+        header, *rows = _grid_csv_lines(project_e, 1)[:-1]
+        rows[2] = _corrupt(rows[2], "lower", "-1.0")
+        text = "\n".join([header, "", "", rows[0], "", rows[1], "", rows[2]]) + "\n\n"
+        with pytest.raises(ParseError, match="lower") as err:
+            parse_records(text)
+        assert err.value.line == 8
+        crlf = "\r\n".join([header, "", rows[0], "", rows[1]]) + "\r\n"
+        assert parse_records(crlf) == parse_records("\n".join([header] + rows[:2]))
+
+    def test_blank_lines_across_chunks(self, project_e):
+        lines = _grid_csv_lines(project_e, 400)
+        spaced = [line for i, line in enumerate(lines) for line in ([line, ""] if i % 7 else [line])]
+        spaced[1:1] = [""] * 5_000  # a chunk of blank lines only
+        bad = len(spaced) - 3 if spaced[-3] else len(spaced) - 4
+        spaced[bad] = _corrupt(spaced[bad], "tp", "-3")
+        with pytest.raises(ParseError, match="tp") as err:
+            parse_records("\n".join(spaced))
+        assert err.value.line == bad + 1
+
+    def test_header_after_blank_lines(self, project_e):
+        lines = _grid_csv_lines(project_e, 1)
+        assert len(parse_records("\n\n" + "\n".join(lines))) == 2 * 12
+        with pytest.raises(ParseError, match="header") as err:
+            parse_records("\n\n" + "\n".join(lines[1:]))
+        assert err.value.line == 3
+
+
+def _json_rows(**changes):
+    rows = json.loads(emit_records([record(), record(repetition=1)], format="json"))
+    rows[1].update(changes)
+    return json.dumps(rows)
+
+
+class TestStrictRecordJson:
+    @pytest.mark.parametrize(
+        "text", ['{"a": 1}', '"x"', "[{", "null", "", pytest.param("[" * 100_000, id="deep")]
+    )
+    def test_malformed_document(self, text):
+        with pytest.raises(ParseError):
+            parse_records(text, format="json")
+
+    @pytest.mark.parametrize("row", ["1", "[]", '"p"', "null"])
+    def test_row_not_an_object(self, row):
+        good = emit_records([record()], format="json").strip()[1:-1]
+        with pytest.raises(ParseError, match="object") as err:
+            parse_records(f"[{good},{row}]", format="json")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("column", ["cost_saving", "tp", "lower", "project"])
+    def test_missing_column(self, column):
+        rows = json.loads(_json_rows())
+        del rows[1][column]
+        with pytest.raises(ParseError, match=column) as err:
+            parse_records(json.dumps(rows), format="json")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("tp", 4.7),
+            ("tp", True),
+            ("tp", "4"),
+            ("tp", -1),
+            ("fn", -6),
+            ("repetition", 2.9),
+            ("accuracy", True),
+            ("accuracy", "0.5"),
+            ("p_qf", False),
+            ("precision", 7.0),
+            ("recall", -0.5),
+            ("precision", True),
+            ("lower", -1.0),
+            ("lower", "1e5"),
+            ("upper", "nan"),
+            ("upper", math.nan),
+            ("upper", True),
+            ("project", 5),
+        ],
+    )
+    def test_bad_value(self, column, value):
+        with pytest.raises(ParseError, match=column) as err:
+            parse_records(_json_rows(**{column: value}), format="json")
+        assert err.value.line == 2
+
+    def test_unbounded_and_integral_values_accepted(self):
+        records = parse_records(_json_rows(lower="inf", upper=math.inf, accuracy=1), format="json")
+        assert records[1].lower == records[1].upper == math.inf
+        assert records[1].accuracy == 1.0
+
+    @pytest.mark.parametrize("qa_mode, relationship", [("const-n", "m"), ("const", "n-m-")])
+    def test_kind_fields_must_match_exactly(self, qa_mode, relationship):
+        with pytest.raises(ParseError, match="kind"):
+            parse_records(_json_rows(qa_mode=qa_mode, relationship=relationship), format="json")
+
+
+class TestColumnFedTrend:
+    def test_table_and_list_agree_with_the_scan(self, project_e):
+        table = run_grid(project_e, GridConfig(accuracies=(0.1, 0.5, 0.9), repetitions=20, seed=8))
+        records = list(table)
+        for kind in ALL_KINDS:
+            for metric in METRICS:
+                for bound in BOUNDS:
+                    series = trend(table, metric, kind, bound, n_bins=7)
+                    assert series == trend(records, metric, kind, bound, n_bins=7)
+                    assert series == reference_trend(records, metric, kind, bound, n_bins=7)
+                assert render_scatter(table, metric, kind) == render_scatter(records, metric, kind)
+
+    def test_scan_reference_on_shuffled_records(self, rng):
+        records = [
+            record(precision=None if p > 0.9 else float(p), lower=float(b),
+                   upper=math.inf if b > 8 else float(b) + 1.0,
+                   kind=ALL_KINDS[int(k)])
+            for p, b, k in zip(rng.random(300), rng.uniform(0.0, 9.0, 300), rng.integers(0, 6, 300))
+        ]
+        rng.shuffle(records)
+        for bound in BOUNDS:
+            assert trend(records, "precision", CONST_NM, bound) == reference_trend(
+                records, "precision", CONST_NM, bound
+            )
+
+    def test_unknown_bound(self):
+        with pytest.raises(InputContractError, match="bound"):
+            trend([record()], "precision", CONST_NM, "middle")
