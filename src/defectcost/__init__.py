@@ -42,7 +42,6 @@ from .model import (
     Relationship,
     classify,
     constant_prediction,
-    partition_artifacts,
     perfect_prediction,
     precision,
     project_view,
@@ -113,7 +112,6 @@ __all__ = [
     "parse_matrix",
     "parse_prediction",
     "parse_records",
-    "partition_artifacts",
     "perfect_prediction",
     "precision",
     "project_from_aggregates",

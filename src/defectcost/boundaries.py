@@ -9,19 +9,18 @@ probability ``p_qa`` yields a linear condition
 
 whose sign pattern turns into an upper bound (defect_coeff > 0), a lower bound
 (defect_coeff < 0), or a C-independent verdict (defect_coeff = 0) on C.
-
-The two extreme baselines give closed forms:
+``theorem_boundary`` evaluates it from the terms of the kernel in
+``defectcost.costs``; its two ends are the corollary boundaries:
 
 * ``lower_boundary`` (p_qa = 0, no quality assurance at all): the model saves
-  cost for every C above (QA spent + overheads) / expected defects prevented.
+  cost for every C above (QA spent + overheads) / escape weight predicted.
 * ``upper_boundary`` (p_qa = 1, quality assurance on everything): the model
-  saves cost for every C below (QA saved - overheads) / expected defects lost.
+  saves cost for every C below (QA saved - overheads) / escape weight missed.
 
-``boundary_interval`` evaluates the pair for one of the six initialized cost
-models; cost saving is possible at all only when the interval is non-empty.
-
-Unbounded boundaries (no predicted defects for the lower, no missed defects
-for the upper) are represented as ``math.inf``.
+``boundary_interval`` returns both ends for one of the six initialized cost
+models, in any view; cost saving is possible at all only when the interval
+is non-empty.  Unbounded boundaries (a zero escape weight predicted for the
+lower, missed for the upper) are represented as ``math.inf``.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .costs import CostParams, ModelKind, QAMode, _check_kind, qa_cost_vector, qa_failure
+from .costs import CostParams, ModelKind, _check_kind, _powers, _Terms, _terms
 from .errors import InputContractError
-from .model import OutcomeSummary, Project, Relationship
+from .model import OutcomeSummary, Project
 
 UNBOUNDED = math.inf
 
@@ -80,45 +79,12 @@ class BoundaryInterval:
     cost_saving_possible: bool
 
 
-def _qf_by_defect(project: Project, params: CostParams) -> dict[str, float]:
-    return {d.id: qa_failure(params.p_qf, len(d.members)) for d in project.defects}
-
-
-def _qa_sums(project: Project, outcome: OutcomeSummary, qa_mode: QAMode) -> tuple[float, float]:
-    """(QA cost of predicted artifacts, QA cost of the rest).
-
-    Summed in artifact order with exact accumulation, so the result does not
-    depend on set iteration order."""
-    qa = qa_cost_vector(project, qa_mode)
-    predicted = outcome.predicted_artifacts
-    spent = math.fsum(q for a, q in zip(project.artifacts, qa) if a.id in predicted)
-    unspent = math.fsum(q for a, q in zip(project.artifacts, qa) if a.id not in predicted)
-    return spent, unspent
-
-
-def theorem_boundary(
-    project: Project, outcome: OutcomeSummary, p_qa: float, params: CostParams
+def _condition(
+    project: Project, terms: _Terms, p_qa: float, params: CostParams
 ) -> BoundaryCondition:
-    """Boundary on the cost ratio versus random QA with probability ``p_qa``.
-
-    defect_coeff = sum over predicted defects of (qf(d) - 1)
-                 + sum over all defects of p_qa^|d| * (1 - qf(d))
-    qa_margin    = p_qa * total QA cost - QA cost of predicted artifacts
-                 - c_init - c_exec
-
-    Expected profit is positive iff C * defect_coeff < qa_margin, i.e. iff C
-    is below (coefficient positive) or above (negative) the threshold; when
-    the coefficient is zero the verdict is independent of C and decided by the
-    sign of qa_margin.
-    """
-    if not 0.0 <= p_qa <= 1.0:
-        raise InputContractError(f"p_qa must be in [0, 1], got {p_qa}")
-    qf = _qf_by_defect(project, params)
-    coeff = math.fsum(qf[d] - 1.0 for d in outcome.predicted_defects) + math.fsum(
-        p_qa ** len(d.members) * (1.0 - qf[d.id]) for d in project.defects
-    )
-    spent, unspent = _qa_sums(project, outcome, params.qa_mode)
-    margin = p_qa * (spent + unspent) - spent - params.c_init - params.c_exec
+    covered = _powers(p_qa, project.defect_cardinalities)
+    coeff = math.fsum((terms.weight * (covered - terms.hit)).tolist())
+    margin = p_qa * (terms.spent + terms.unspent) - terms.spent - params.c_init - params.c_exec
     if coeff > 0:
         kind = BoundKind.UPPER_BOUND
     elif coeff < 0:
@@ -131,38 +97,55 @@ def theorem_boundary(
     return BoundaryCondition(defect_coeff=coeff, qa_margin=margin, kind=kind, threshold=threshold)
 
 
+def _ends(project: Project, terms: _Terms, params: CostParams) -> tuple[float, float]:
+    """The p_qa = 0 and p_qa = 1 thresholds; an upper bound below 0 clamps to 0."""
+    lower = _condition(project, terms, 0.0, params).threshold
+    at_one = _condition(project, terms, 1.0, params)
+    clamp = at_one.kind is BoundKind.UPPER_BOUND and at_one.qa_margin < 0
+    return lower, 0.0 if clamp else at_one.threshold
+
+
+def theorem_boundary(
+    project: Project, outcome: OutcomeSummary, p_qa: float, params: CostParams
+) -> BoundaryCondition:
+    """Boundary on the cost ratio versus random QA with probability ``p_qa``.
+
+    defect_coeff = sum over defects of w(d) * (p_qa^|d| - hit(d)), with the
+                   escape weight w(d) = (1 - p_qf)^|d| and hit(d) = 1 for a
+                   predicted defect, 0 for a missed one
+    qa_margin    = p_qa * total QA cost - QA cost of predicted artifacts
+                 - c_init - c_exec
+
+    Expected profit is positive iff C * defect_coeff < qa_margin, i.e. iff C
+    is below (coefficient positive) or above (negative) the threshold; when
+    the coefficient is zero the verdict is independent of C and decided by the
+    sign of qa_margin.
+    """
+    if not 0.0 <= p_qa <= 1.0:
+        raise InputContractError(f"p_qa must be in [0, 1], got {p_qa}")
+    return _condition(project, _terms(project, outcome, params), p_qa, params)
+
+
 def lower_boundary(project: Project, outcome: OutcomeSummary, params: CostParams) -> float:
     """Smallest cost ratio at which the model beats doing no quality assurance.
 
-    (QA cost of predicted artifacts + c_init + c_exec) divided by the expected
-    number of defects actually prevented; unbounded when no defect is fully
-    predicted.
+    The p_qa = 0 threshold of ``theorem_boundary``: (QA cost of predicted
+    artifacts + c_init + c_exec) divided by the escape weight of the predicted
+    defects; unbounded when that weight is 0 (no defect is fully predicted).
     """
-    if not outcome.predicted_defects:
-        return UNBOUNDED
-    qf = _qf_by_defect(project, params)
-    prevented = math.fsum(1.0 - qf[d] for d in outcome.predicted_defects)
-    spent, _ = _qa_sums(project, outcome, params.qa_mode)
-    return (spent + params.c_init + params.c_exec) / prevented
+    return _ends(project, _terms(project, outcome, params), params)[0]
 
 
 def upper_boundary(project: Project, outcome: OutcomeSummary, params: CostParams) -> float:
     """Largest cost ratio at which the model beats quality assurance on everything.
 
-    (QA cost saved on unpredicted artifacts - c_init - c_exec) divided by the
-    expected number of defects lost to the missed set; unbounded when nothing
-    is missed.  A negative numerator (overheads exceed the QA saved) clamps to
-    0: no positive cost ratio qualifies.
+    The p_qa = 1 threshold of ``theorem_boundary``: (QA cost saved on
+    unpredicted artifacts - c_init - c_exec) divided by the escape weight of
+    the missed defects; unbounded when that weight is 0 (nothing is missed).
+    A negative numerator (overheads exceed the QA saved) clamps to 0: no
+    positive cost ratio qualifies.
     """
-    if not outcome.missed_defects:
-        return UNBOUNDED
-    qf = _qf_by_defect(project, params)
-    lost = math.fsum(1.0 - qf[d] for d in outcome.missed_defects)
-    _, unspent = _qa_sums(project, outcome, params.qa_mode)
-    numerator = unspent - params.c_init - params.c_exec
-    if numerator < 0:
-        return 0.0
-    return numerator / lost
+    return _ends(project, _terms(project, outcome, params), params)[1]
 
 
 def boundary_interval(
@@ -170,34 +153,10 @@ def boundary_interval(
 ) -> BoundaryInterval:
     """The cost-saving interval of one of the six initialized models.
 
-    The project must already be in the view ``kind`` expects.  Denominators
-    follow the view: per-defect escape weights (1 - p_qf)^|d| in the n-m view,
-    defect counts scaled by (1 - p_qf) in the 1-m view, and tp / fn scaled by
-    (1 - p_qf) in the 1-1 view.  The result coincides with
-    ``lower_boundary``/``upper_boundary`` applied to the same view.
+    The project must already be in the view ``kind`` expects; the interval is
+    (``lower_boundary``, ``upper_boundary``) in that view.
     """
     _check_kind(project, params, kind)
-    keep = 1.0 - params.p_qf
-    cm = outcome.cm
-    if kind.relationship is Relationship.N_TO_M:
-        cardinality = {d.id: len(d.members) for d in project.defects}
-        lower_den = math.fsum(keep ** cardinality[d] for d in outcome.predicted_defects)
-        upper_den = math.fsum(keep ** cardinality[d] for d in outcome.missed_defects)
-    elif kind.relationship is Relationship.ONE_TO_M:
-        lower_den = len(outcome.predicted_defects) * keep
-        upper_den = len(outcome.missed_defects) * keep
-    else:
-        lower_den = cm.tp * keep
-        upper_den = cm.fn * keep
-    spent, unspent = _qa_sums(project, outcome, kind.qa_mode)
-    if lower_den == 0:
-        lower = UNBOUNDED
-    else:
-        lower = (spent + params.c_init + params.c_exec) / lower_den
-    if upper_den == 0:
-        upper = UNBOUNDED
-    else:
-        upper_num = unspent - params.c_init - params.c_exec
-        upper = upper_num / upper_den if upper_num >= 0 else 0.0
+    lower, upper = _ends(project, _terms(project, outcome, params), params)
     possible = math.isfinite(lower) and lower < upper
     return BoundaryInterval(lower=lower, upper=upper, cost_saving_possible=possible)

@@ -26,7 +26,10 @@ MAX_GRID_RECORDS = 1_000_000
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise DataError(f"{path}: not UTF-8 text (byte {error.start})") from None
 
 
 def _load_view(args) -> tuple:
@@ -111,6 +114,9 @@ def _accuracy_count(acc_min: float, acc_max: float, step: float) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.reps < 1:
+        # checked before the bound below, which a count of 0 or less would pass
+        raise InputContractError(f"repetitions must be >= 1, got {args.reps}")
     count = _accuracy_count(args.acc_min, args.acc_max, args.acc_step)
     p_qf_values = tuple(args.p_qf) if args.p_qf else DEFAULT_P_QF_VALUES
     records = count * args.reps * len(set(p_qf_values)) * len(ALL_KINDS)
@@ -159,17 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--kind", required=True, choices=KIND_CODES)
-    p.add_argument("--c-ratio", type=float, required=True)
-    p.add_argument("--p-qf", type=float, default=0.0)
-    p.add_argument("--c-init", type=float, default=0.0)
-    p.add_argument("--c-exec", type=float, default=0.0)
+    p.add_argument("--c-ratio", type=_finite_float, required=True)
+    p.add_argument("--p-qf", type=_finite_float, default=0.0)
+    p.add_argument("--c-init", type=_finite_float, default=0.0)
+    p.add_argument("--c-exec", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("boundaries", help="cost-saving boundary interval of a prediction")
     p.add_argument("--matrix", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--kind", required=True, choices=KIND_CODES)
-    p.add_argument("--p-qf", type=float, default=0.0)
+    p.add_argument("--p-qf", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_boundaries)
 
     p = sub.add_parser("simulate", help="run the accuracy-grid simulation, write record CSV")
@@ -202,10 +208,8 @@ def cli_dispatch(argv) -> int:
         return int(exit_request.code or 0)
     try:
         return args.func(args)
-    except DataError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+    except (DataError, OSError, OverflowError) as error:
+        # OverflowError: finite numbers whose costs exceed a float, e.g. --c-ratio 1e308
         print(f"error: {error}", file=sys.stderr)
         return 1
 

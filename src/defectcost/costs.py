@@ -17,7 +17,14 @@ assurance costed per artifact (constant, one unit) or per line (size-aware),
 crossed with the three incidence views (n-m, 1-m, 1-1).  All defect losses are
 the single ratio ``c_ratio`` = mean defect cost per quality-assurance unit,
 and quality-assurance failure is a per-artifact Bernoulli miss with
-probability ``p_qf``, so qf(d) = 1 - (1 - p_qf)^|d|.
+probability ``p_qf``, so qf(d) = 1 - w(d) with the escape weight
+w(d) = (1 - p_qf)^|d|, the chance that QA on all of d's artifacts reveals d.
+
+One private kernel, ``_terms``, gives the initialized costs and the
+boundaries (``defectcost.boundaries``) all they read about an outcome: QA
+spent and unspent, each defect's escape weight and whether it was predicted.
+The 1-m and 1-1 views are n-m data with single-member defects, so no formula
+depends on the view.
 """
 
 from __future__ import annotations
@@ -25,12 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import InputContractError
-from .model import OutcomeSummary, Project, Relationship
+from .model import OutcomeSummary, Project, Relationship, _defects_hit
 
 
 class QAMode(Enum):
@@ -73,7 +80,8 @@ class CostParams:
     1 so that quality assurance always has a chance to reveal every defect.
     ``c_init`` and ``c_exec`` are the one-time and continuous overheads of
     running the prediction model; the standard initializations set them to 0
-    but every operation honors them.
+    but every operation honors them.  ``c_ratio``, ``c_init`` and ``c_exec``
+    must be finite.
     """
 
     c_ratio: float = 1.0
@@ -83,6 +91,9 @@ class CostParams:
     qa_mode: QAMode = QAMode.CONSTANT
 
     def __post_init__(self):
+        for name in ("c_ratio", "c_init", "c_exec"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputContractError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.c_ratio > 0:
             raise InputContractError(f"c_ratio must be positive, got {self.c_ratio}")
         if not 0.0 <= self.p_qf < 1.0:
@@ -171,37 +182,53 @@ def _check_kind(project: Project, params: CostParams, kind: ModelKind) -> None:
         )
 
 
-def _qa_spent(project: Project, outcome: OutcomeSummary, qa_mode: QAMode) -> float:
-    if qa_mode is QAMode.CONSTANT:
-        return float(outcome.cm.tp + outcome.cm.fp)
+def _powers(base: float, cardinalities: np.ndarray) -> np.ndarray:
+    """base^|d| per defect, by Python ``pow`` once per distinct cardinality.
+
+    numpy's ``power`` can differ from ``pow`` in the last bit; every route,
+    ``simulation.run_grid`` included, takes its powers from here."""
+    counts = np.bincount(cardinalities)
+    distinct = np.flatnonzero(counts)
+    table = np.empty(len(counts))
+    table[distinct] = [base**k for k in distinct.tolist()]
+    return table[cardinalities]
+
+
+class _Terms(NamedTuple):
+    spent: float  # QA cost of the predicted artifacts
+    unspent: float  # QA cost of the other artifacts
+    weight: np.ndarray  # escape weight (1 - p_qf)^|d| per defect
+    hit: np.ndarray  # True where all of the defect's artifacts are predicted
+
+
+def _terms(project: Project, outcome: OutcomeSummary, params: CostParams) -> _Terms:
+    """The kernel.
+
+    QA costs are whole numbers (ones or sizes), so the QA sums are exact in
+    any order while the project's total QA cost is below 2^53."""
     index = project.artifact_index
-    sizes = project.sizes
-    return float(sum(int(sizes[index[a]]) for a in outcome.predicted_artifacts))
+    predicted = outcome.predicted_artifacts
+    picked = np.zeros(len(project.artifacts), dtype=bool)
+    picked[np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))] = True
+    qa = qa_cost_vector(project, params.qa_mode)
+    weight = _powers(1.0 - params.p_qf, project.defect_cardinalities)
+    spent, unspent = float(qa[picked].sum()), float(qa[~picked].sum())
+    return _Terms(spent, unspent, weight, _defects_hit(project, picked))
 
 
 def cost_init(project: Project, outcome: OutcomeSummary, params: CostParams, kind: ModelKind) -> float:
     """Cost under one of the six initialized models.
 
-    The project must already be in the view that ``kind`` expects.  The QA
-    term is tp+fp (constant mode) or the summed size of predicted artifacts
-    (size-aware); the defect term scales ``c_ratio`` by the number of missed
-    defects plus the expected escapes among predicted defects.
+    The project must already be in the view that ``kind`` expects.  The cost
+    is c_init + c_exec + QA spent + c_ratio * (missed defects + the sum of
+    1 - w(d) over predicted defects), w(d) being the escape weight.
     """
     _check_kind(project, params, kind)
-    qa_spent = _qa_spent(project, outcome, kind.qa_mode)
+    terms = _terms(project, outcome, params)
     c = params.c_ratio
-    cm = outcome.cm
-    if kind.relationship is Relationship.N_TO_M:
-        cardinality = {d.id: len(d.members) for d in project.defects}
-        escaped = math.fsum(
-            qa_failure(params.p_qf, cardinality[d]) for d in outcome.predicted_defects
-        )
-        defect_term = len(outcome.missed_defects) * c + escaped * c
-    elif kind.relationship is Relationship.ONE_TO_M:
-        defect_term = len(outcome.missed_defects) * c + len(outcome.predicted_defects) * params.p_qf * c
-    else:
-        defect_term = cm.fn * c + cm.tp * params.p_qf * c
-    return params.c_init + params.c_exec + qa_spent + defect_term
+    missed = int(np.count_nonzero(~terms.hit))
+    escaped = math.fsum((1.0 - terms.weight[terms.hit]).tolist())
+    return params.c_init + params.c_exec + terms.spent + (missed * c + escaped * c)
 
 
 def cost_random(project: Project, p_qa: float, params: CostParams) -> float:
@@ -215,11 +242,10 @@ def cost_random(project: Project, p_qa: float, params: CostParams) -> float:
     """
     if not 0.0 <= p_qa <= 1.0:
         raise InputContractError(f"p_qa must be in [0, 1], got {p_qa}")
-    qa = qa_cost_vector(project, params.qa_mode)
-    qa_expected = p_qa * float(np.sum(qa))
-    defect_terms = []
-    for d in project.defects:
-        covered = p_qa ** len(d.members)
-        qf = qa_failure(params.p_qf, len(d.members))
-        defect_terms.append((1.0 - covered) * params.c_ratio + covered * qf * params.c_ratio)
-    return qa_expected + math.fsum(defect_terms)
+    cards = project.defect_cardinalities
+    covered = _powers(p_qa, cards)
+    qf = 1.0 - _powers(1.0 - params.p_qf, cards)
+    c = params.c_ratio
+    defect_terms = (1.0 - covered) * c + covered * qf * c
+    qa_expected = p_qa * float(np.sum(qa_cost_vector(project, params.qa_mode)))
+    return qa_expected + math.fsum(defect_terms.tolist())

@@ -1,6 +1,7 @@
 """Reading, writing, and summarizing defect-matrix and prediction files.
 
-Matrix CSV grammar (strict, no quoting; ids must not contain commas):
+Matrix CSV grammar (strict, no quoting; ids are non-empty, without a comma
+or a line break):
 
     file,loc,d1,d2
     s1,100,1,1
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import InputContractError, ParseError
 from .model import Artifact, Defect, Prediction, Project, Relationship
+
+_UNWRITABLE = frozenset(",\n\r")  # the field and line separators
 
 
 def _split_lines(text: str) -> list[str]:
@@ -96,7 +99,13 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
 
 
 def format_matrix(project: Project) -> str:
-    """Serialize a project back to matrix CSV; the inverse of ``parse_matrix``."""
+    """Serialize a project back to matrix CSV; the inverse of ``parse_matrix``.
+
+    Raises ``InputContractError`` for an artifact or defect id the format
+    cannot hold: an empty one, or one with a comma or a line break."""
+    for item_id in [*(d.id for d in project.defects), *(a.id for a in project.artifacts)]:
+        if not item_id or not _UNWRITABLE.isdisjoint(item_id):
+            raise InputContractError(f"id {item_id!r} cannot be written to matrix CSV")
     out = [",".join(["file", "loc"] + [d.id for d in project.defects])]
     membership = [d.members for d in project.defects]
     for a in project.artifacts:

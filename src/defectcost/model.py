@@ -128,7 +128,7 @@ class Project:
     @cached_property
     def defect_cardinalities(self) -> np.ndarray:
         """Number of member artifacts per defect, in stored defect order."""
-        return np.array([len(d.members) for d in self.defects], dtype=np.int64)
+        return np.diff(self._member_csr[1])
 
     @cached_property
     def _member_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,17 +201,6 @@ class OutcomeSummary:
     predicted_artifacts: frozenset[str]
 
 
-def partition_artifacts(project: Project) -> tuple[frozenset[str], frozenset[str]]:
-    """Split artifact ids into (defective, clean).
-
-    Defective artifacts are those belonging to at least one defect; the two
-    sets are disjoint and together cover the whole project.
-    """
-    defective = frozenset(m for d in project.defects for m in d.members)
-    clean = frozenset(a.id for a in project.artifacts) - defective
-    return defective, clean
-
-
 def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
     labels = prediction.labels
     extra = labels.keys() - project.artifact_index.keys()
@@ -235,12 +224,15 @@ def _classify_labels(project: Project, labels: np.ndarray) -> tuple[ConfusionMat
     tn = int(np.count_nonzero(~truth & ~predicted))
     fn = int(np.count_nonzero(truth & ~predicted))
     cm = ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-    if project.defects:
-        indices, starts = project._member_csr
-        predicted_defects = np.minimum.reduceat(predicted[indices], starts[:-1]).astype(bool)
-    else:
-        predicted_defects = np.zeros(0, dtype=bool)
-    return cm, predicted_defects
+    return cm, _defects_hit(project, predicted)
+
+
+def _defects_hit(project: Project, predicted: np.ndarray) -> np.ndarray:
+    """Per defect: are all its artifacts marked in the boolean artifact mask ``predicted``?"""
+    if not project.defects:
+        return np.zeros(0, dtype=bool)
+    indices, starts = project._member_csr
+    return np.minimum.reduceat(predicted[indices], starts[:-1])
 
 
 def classify(project: Project, prediction: Prediction) -> OutcomeSummary:

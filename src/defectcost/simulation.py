@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ALL_KINDS, ModelKind, QAMode
+from .costs import ALL_KINDS, ModelKind, QAMode, _powers
 from .errors import InputContractError
 from .model import (
     ConfusionMatrix,
@@ -248,8 +248,8 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
     columns = np.column_stack(
         [np.ones(n), truth, project.sizes, np.bincount(indices, minlength=n)]
     )
-    cards = project.defect_cardinalities.astype(np.float64)
-    escape = np.column_stack([(1.0 - p) ** cards for p in config.p_qf_values])
+    cards = project.defect_cardinalities
+    escape = np.column_stack([_powers(1.0 - p, cards) for p in config.p_qf_values])
     repetitions = config.repetitions
     n_cells = len(config.accuracies) * repetitions
     sums = np.empty((n_cells, 4))

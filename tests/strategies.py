@@ -1,8 +1,19 @@
-"""Hypothesis strategies for small random projects and predictions."""
+"""Hypothesis strategies and random cases: small projects, predictions and prices."""
 
 from hypothesis import strategies as st
 
-from defectcost import Artifact, Defect, Prediction, Project
+from defectcost import (
+    ALL_KINDS,
+    Artifact,
+    CostParams,
+    Defect,
+    Prediction,
+    Project,
+    classify,
+    project_view,
+    random_prediction,
+    random_project,
+)
 
 
 @st.composite
@@ -32,3 +43,23 @@ def labeled_projects(draw, **kwargs):
         {a.id: lab for a, lab in zip(project.artifacts, labels)}
     )
     return project, prediction
+
+
+def priced_cases(rng, count, max_artifacts=20, max_defects=8):
+    """``count`` random projects, each priced under all six kinds.
+
+    Yields (view, outcome, params, kind).  ``p_qf`` is drawn from [0, 0.95),
+    so it is almost never dyadic, and each of ``c_init`` and ``c_exec`` is
+    positive in half of the projects.
+    """
+    for _ in range(count):
+        project = random_project(rng, max_artifacts=max_artifacts, max_defects=max_defects)
+        prediction = random_prediction(project, rng)
+        c_ratio = float(rng.uniform(0.1, 40.0))
+        p_qf = float(rng.uniform(0.0, 0.95))
+        c_init = float(rng.uniform(0.0, 3.0)) if rng.integers(2) else 0.0
+        c_exec = float(rng.uniform(0.0, 3.0)) if rng.integers(2) else 0.0
+        for kind in ALL_KINDS:
+            view = project_view(project, kind.relationship)
+            params = CostParams(c_ratio, p_qf, c_init, c_exec, kind.qa_mode)
+            yield view, classify(view, prediction), params, kind

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,10 @@ from defectcost import (
     theorem_boundary,
     upper_boundary,
 )
+from defectcost.costs import qa_cost_vector
+
+from . import cost_reference
+from .strategies import priced_cases
 
 CONST = CostParams()
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
@@ -189,10 +194,8 @@ class TestBoundaryInterval:
                 view = project_view(project, kind.relationship)
                 outcome = classify(view, prediction)
                 interval = boundary_interval(view, outcome, params, kind)
-                lower = lower_boundary(view, outcome, params)
-                upper = upper_boundary(view, outcome, params)
-                assert interval.lower == pytest.approx(lower, abs=1e-12 * max(1.0, abs(lower) if math.isfinite(lower) else 1.0))
-                assert interval.upper == pytest.approx(upper, abs=1e-12 * max(1.0, abs(upper) if math.isfinite(upper) else 1.0))
+                assert interval.lower == lower_boundary(view, outcome, params)
+                assert interval.upper == upper_boundary(view, outcome, params)
 
     def test_inverse_precision_identity(self, project_e, prediction_e):
         view = project_view(project_e, Relationship.ONE_TO_ONE)
@@ -228,3 +231,93 @@ class TestBoundaryInterval:
         interval = boundary_interval(project, outcome, CONST, CONST_NM)
         assert interval.lower == interval.upper == 1.0
         assert not interval.cost_saving_possible
+
+
+class TestAgainstReference:
+    def test_interval_bitwise_equal_to_per_view_routes(self, rng):
+        for view, outcome, params, kind in priced_cases(rng, 500):
+            interval = boundary_interval(view, outcome, params, kind)
+            assert interval == cost_reference.boundary_interval(view, outcome, params, kind)
+
+
+def _exact_terms(view, outcome, params, p_qa):
+    """Exact rational (coeff, coeff scale, margin, margin scale) of the profit condition.
+
+    The escape weights are exact powers of the float 1 - p_qf, the base every
+    route uses; each scale is its sum with every term taken positive.
+    """
+    keep, p = Fraction(1.0 - params.p_qf), Fraction(p_qa)
+    coeff = scale = Fraction(0)
+    for d in view.defects:
+        weight, covered = keep ** len(d.members), p ** len(d.members)
+        hit = d.id in outcome.predicted_defects
+        coeff += weight * (covered - hit)
+        scale += weight * (covered + hit)
+    qa = qa_cost_vector(view, params.qa_mode)
+    spent = sum(int(q) for a, q in zip(view.artifacts, qa) if a.id in outcome.predicted_artifacts)
+    overheads = Fraction(params.c_init) + Fraction(params.c_exec)
+    total = int(qa.sum())
+    return coeff, scale, p * total - spent - overheads, p * total + spent + overheads
+
+
+def _error(value, exact, scale):
+    """|value - exact| / scale, both unbounded counting as no error."""
+    if math.isinf(value) or math.isinf(exact):
+        return 0.0 if value == exact else math.inf
+    return abs(Fraction(value) - exact) / scale if scale else abs(value)
+
+
+class TestExactArithmetic:
+    """The boundaries against exact rational arithmetic on the same float inputs.
+
+    Each result is within 1e-15 of the exact value, relative to the same
+    expression with every term taken positive: plain relative error for the
+    lower boundary, whose terms share one sign.  Summing 1 - qf(d) with
+    qf(d) = 1 - (1 - p_qf)^|d| in place of the escape weight misses this by
+    up to about 5e-6.
+    """
+
+    def test_corollary_boundaries(self, rng):
+        for view, outcome, params, _ in priced_cases(rng, 250):
+            coeff, _, margin, _ = _exact_terms(view, outcome, params, 0.0)
+            lower = math.inf if coeff == 0 else margin / coeff
+            assert _error(lower_boundary(view, outcome, params), lower, abs(lower)) <= 1e-15
+            coeff, _, margin, margin_scale = _exact_terms(view, outcome, params, 1.0)
+            upper = math.inf if coeff == 0 else max(margin / coeff, Fraction(0))
+            scale = margin_scale / coeff if coeff else 1
+            assert _error(upper_boundary(view, outcome, params), upper, scale) <= 1e-15
+
+    def test_theorem_terms(self, rng):
+        for view, outcome, params, _ in priced_cases(rng, 120):
+            for p_qa in (0.0, 1.0, float(rng.uniform(0.0, 1.0))):
+                condition = theorem_boundary(view, outcome, p_qa, params)
+                coeff, coeff_scale, margin, margin_scale = _exact_terms(view, outcome, params, p_qa)
+                assert _error(condition.defect_coeff, coeff, coeff_scale) <= 1e-15
+                assert _error(condition.qa_margin, margin, margin_scale) <= 1e-15
+                if p_qa in (0.0, 1.0) and coeff:
+                    # at the ends every coefficient term has one sign
+                    scale = abs(margin_scale / coeff)
+                    assert _error(condition.threshold, margin / coeff, scale) <= 1e-15
+
+
+class TestTinyEscapeWeight:
+    """One fully predicted 80-file defect at p_qf 0.5 has escape weight 2^-80.
+
+    1 - (1 - 2^-80) rounds to 0, so the old corollary divided by zero and the
+    old theorem saw no defect term; the weight itself is exact.
+    """
+
+    @pytest.fixture
+    def wide(self):
+        artifacts = tuple(Artifact(f"f{i}", 1) for i in range(80))
+        project = Project("wide", artifacts, (Defect("d", frozenset(a.id for a in artifacts)),))
+        return project, classify(project, constant_prediction(project, 1))
+
+    def test_lower_boundary_is_the_interval_lower(self, wide):
+        project, outcome = wide
+        params = CostParams(p_qf=0.5)
+        lower = lower_boundary(project, outcome, params)
+        assert lower == boundary_interval(project, outcome, params, CONST_NM).lower == 80 * 2.0**80
+        condition = theorem_boundary(project, outcome, 0.0, params)
+        assert condition.kind is BoundKind.LOWER_BOUND
+        assert condition.threshold == lower

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defectcost import DEFAULT_ACCURACIES, parse_records
+from defectcost import DEFAULT_ACCURACIES, KIND_BY_CODE, parse_records
 from defectcost.cli import MAX_GRID_RECORDS, cli_dispatch
+from defectcost.reporting import METRICS
 
 MATRIX_E = "file,loc,d1,d2\ns1,100,1,1\ns2,50,0,1\ns3,10,0,0\n"
 PREDICTION_E = "file,label\ns1,1\ns2,0\ns3,0\n"
@@ -167,6 +172,14 @@ class TestSimulateArguments:
         assert f"more than the {MAX_GRID_RECORDS}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_no_repetitions_is_data_error_before_the_grid_is_built(self, matrix_path, reps, capsys):
+        # a repetition count below 1 once made the record count 0 or negative,
+        # passing the bound, and then built a tuple of 10^12 accuracies
+        argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--acc-step", "1e-12"]
+        assert cli_dispatch(argv + ["--reps", reps]) == 1
+        assert "repetitions" in capsys.readouterr().err
+
     def test_default_accuracy_grid(self, matrix_path, capsys):
         argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--reps", "1", "--p-qf", "0"]
         assert cli_dispatch(argv) == 0
@@ -181,3 +194,134 @@ class TestSimulateArguments:
         assert cli_dispatch(argv) == 1
         assert "comma" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCostArguments:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("cost", "--c-ratio"),
+            ("cost", "--p-qf"),
+            ("cost", "--c-init"),
+            ("cost", "--c-exec"),
+            ("boundaries", "--p-qf"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_is_usage_error(
+        self, matrix_path, prediction_path, command, flag, value, capsys
+    ):
+        argv = [command, "--matrix", matrix_path, "--predictions", prediction_path]
+        argv += ["--kind", "const-n-m", flag, value]
+        if command == "cost" and flag != "--c-ratio":
+            argv += ["--c-ratio", "10"]
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+    def test_overflowing_costs_are_data_error(self, matrix_path, prediction_path, capsys):
+        # two defects at 1e308 each: the no-QA baseline exceeds a float
+        argv = ["cost", "--matrix", matrix_path, "--predictions", prediction_path]
+        assert cli_dispatch(argv + ["--kind", "const-n-m", "--c-ratio", "1e308"]) == 1
+        assert "overflow" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    @pytest.fixture
+    def binary_path(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"file,loc\ns1,1\xff\n")
+        return str(path)
+
+    def test_validate(self, binary_path, capsys):
+        assert cli_dispatch(["validate", binary_path]) == 1
+        assert binary_path in capsys.readouterr().err
+
+    def test_plot(self, binary_path, tmp_path, capsys):
+        argv = ["plot", "--in", binary_path, "--metric", "precision", "--kind", "const-n-m"]
+        assert cli_dispatch(argv + ["--out", str(tmp_path / "plot.svg")]) == 1
+        assert binary_path in capsys.readouterr().err
+
+    def test_predictions(self, matrix_path, binary_path, capsys):
+        argv = ["boundaries", "--matrix", matrix_path, "--predictions", binary_path]
+        assert cli_dispatch(argv + ["--kind", "const-n-m"]) == 1
+        assert binary_path in capsys.readouterr().err
+
+
+# Flag values for the fuzz test: non-finite, negative, zero, tiny, huge and empty.
+NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1", "0.5", "1e-12", str(10**30), "1e308", ""]
+# --reps never asks for more than 20 repetitions unless the grid trips MAX_GRID_RECORDS.
+REPS = ["1", "20", "0", "-1", "nan", "", "1e-12", str(10**30)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Paths by role (matrix, prediction, records, output), plus bad inputs and outputs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {role: str(root / f"{role}.csv") for role in ("matrix", "prediction", "records")}
+    (root / "matrix.csv").write_text(MATRIX_E)
+    (root / "prediction.csv").write_text(PREDICTION_E)
+    (root / "binary.csv").write_bytes(b"file,loc\ns1,1\xff\n")
+    argv = ["simulate", "--matrix", paths["matrix"], "--seed", "1", "--reps", "1"]
+    assert cli_dispatch(argv + ["--out", paths["records"]]) == 0
+    paths["output"] = str(root / "out.file")
+    bad = [str(root / name) for name in ("binary.csv", "missing.csv", "missing/x")]
+    bad += [str(root), ""]
+    return paths, bad
+
+
+@st.composite
+def argvs(draw, fuzz_paths):
+    """An argv for one subcommand: each flag with a value that is sometimes valid."""
+    paths, bad = fuzz_paths
+
+    def path(role):
+        return st.one_of(st.just(paths[role]), st.sampled_from([*paths.values(), *bad]))
+
+    def number(valid):
+        return st.one_of(st.just(valid), st.sampled_from(NUMBERS))
+
+    kinds = st.sampled_from([*KIND_BY_CODE, "const-2-2", ""])
+    # (flag, values, required)
+    flags = {
+        "cost": [
+            ("--matrix", path("matrix"), True), ("--predictions", path("prediction"), True),
+            ("--kind", kinds, True), ("--c-ratio", number("10"), True),
+            ("--p-qf", number("0.5"), False), ("--c-init", number("1"), False),
+            ("--c-exec", number("1"), False),
+        ],
+        "boundaries": [
+            ("--matrix", path("matrix"), True), ("--predictions", path("prediction"), True),
+            ("--kind", kinds, True), ("--p-qf", number("0.5"), False),
+        ],
+        "simulate": [
+            ("--matrix", path("matrix"), True), ("--seed", number("1"), True),
+            ("--acc-min", number("0.1"), False), ("--acc-max", number("0.9"), False),
+            ("--acc-step", number("0.2"), False), ("--p-qf", number("0.3"), False),
+            ("--p-qf", number("0"), False), ("--out", path("output"), False),
+            ("--reps", st.sampled_from(REPS), True),
+        ],
+        "plot": [
+            ("--in", path("records"), True),
+            ("--metric", st.sampled_from([*METRICS, "size"]), True),
+            ("--kind", kinds, True), ("--out", path("output"), True),
+        ],
+    }
+    command = draw(st.sampled_from(["validate", "summarize", *flags]))
+    if command in ("validate", "summarize"):
+        return [command, draw(path("matrix"))]
+    argv = [command]
+    for flag, values, required in flags[command]:
+        if required or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_argv_exits_cleanly(self, fuzz_paths, data):
+        argv = data.draw(argvs(fuzz_paths))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_dispatch(argv)
+        assert code in (0, 1, 2), argv

@@ -23,6 +23,9 @@ from defectcost import (
     qa_failure,
 )
 
+from . import cost_reference
+from .strategies import priced_cases
+
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
 
 
@@ -248,3 +251,33 @@ class TestParamValidation:
     def test_overheads_non_negative(self):
         with pytest.raises(InputContractError):
             CostParams(c_init=-1.0)
+
+    @pytest.mark.parametrize("name", ["c_ratio", "c_init", "c_exec"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scalars_finite(self, name, value):
+        with pytest.raises(InputContractError, match=name):
+            CostParams(**{name: value})
+
+
+class TestAgainstReference:
+    """The kernel-based costs against the per-view routes in ``cost_reference``."""
+
+    def test_cost_random_bitwise(self, rng):
+        for view, _, params, _ in priced_cases(rng, 500):
+            for p_qa in (0.0, 1.0, float(rng.uniform(0.0, 1.0))):
+                assert cost_random(view, p_qa, params) == cost_reference.cost_random(
+                    view, p_qa, params
+                )
+
+    def test_cost_init(self, rng):
+        for view, outcome, params, kind in priced_cases(rng, 500):
+            cost = cost_init(view, outcome, params, kind)
+            reference = cost_reference.cost_init(view, outcome, params, kind)
+            if kind.relationship is Relationship.N_TO_M:
+                assert cost == reference
+            else:
+                # the old 1-m and 1-1 routes priced an escape as p_qf, the
+                # kernel as 1 - (1 - p_qf), which rounding 1 - p_qf moves by
+                # up to 2^-54 per predicted defect: c_ratio times that at most
+                hits = len(outcome.predicted_defects)
+                assert abs(cost - reference) <= 1e-15 * (reference + params.c_ratio * hits)

@@ -1,9 +1,14 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from defectcost import (
+    Artifact,
+    Defect,
+    InputContractError,
     ParseError,
     Prediction,
+    Project,
     Relationship,
     format_matrix,
     parse_matrix,
@@ -16,6 +21,30 @@ from defectcost.synthetic import SAMPLE_AGGREGATES, project_from_aggregates
 from .strategies import projects
 
 MATRIX_E = "file,loc,d1,d2\ns1,100,1,1\ns2,50,0,1\ns3,10,0,0\n"
+
+# ids matrix CSV can hold: non-empty, without a comma or a line break
+MATRIX_IDS = st.one_of(
+    st.sampled_from(["inf", "é", "a\x85b", "a b", "file", "loc", "0", "1", " ", "\u2028"]),
+    st.text(st.characters(blacklist_characters=",\n\r"), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def renamed_projects(draw):
+    """A small project whose artifact and defect ids are drawn from ``MATRIX_IDS``."""
+    project = draw(projects())
+    n, m = len(project.artifacts), len(project.defects)
+    files = draw(st.lists(MATRIX_IDS, min_size=n, max_size=n, unique=True))
+    defects = draw(st.lists(MATRIX_IDS, min_size=m, max_size=m, unique=True))
+    name = dict(zip((a.id for a in project.artifacts), files))
+    return Project(
+        project.id,
+        tuple(Artifact(name[a.id], a.size) for a in project.artifacts),
+        tuple(
+            Defect(defect_id, frozenset(name[f] for f in d.members))
+            for defect_id, d in zip(defects, project.defects)
+        ),
+    )
 
 
 class TestParseMatrix:
@@ -85,6 +114,19 @@ class TestParseMatrix:
     @given(projects())
     def test_round_trip_generated(self, project):
         assert parse_matrix(format_matrix(project), project_id=project.id) == project
+
+    @given(renamed_projects())
+    def test_round_trip_any_writable_id(self, project):
+        assert parse_matrix(format_matrix(project), project_id=project.id) == project
+
+    @pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "d\r", "\r"])
+    @pytest.mark.parametrize("where", ["artifact", "defect"])
+    def test_format_rejects_unwritable_id(self, bad, where):
+        file_id = bad if where == "artifact" else "f"
+        defect_id = bad if where == "defect" else "d"
+        project = Project("p", (Artifact(file_id, 1),), (Defect(defect_id, frozenset({file_id})),))
+        with pytest.raises(InputContractError, match="cannot be written"):
+            format_matrix(project)
 
 
 class TestParsePrediction:

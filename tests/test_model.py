@@ -10,7 +10,6 @@ from defectcost import (
     Project,
     Relationship,
     classify,
-    partition_artifacts,
     perfect_prediction,
     precision,
     project_view,
@@ -20,15 +19,24 @@ from defectcost import (
 from .strategies import labeled_projects, projects
 
 
+def split_by_mask(project):
+    """(defective, clean) artifact ids as ``Project.defective_mask`` marks them."""
+    mask = project.defective_mask
+    assert mask.dtype == bool and mask.shape == (len(project.artifacts),)
+    defective = frozenset(a.id for a, m in zip(project.artifacts, mask) if m)
+    clean = frozenset(a.id for a, m in zip(project.artifacts, mask) if not m)
+    return defective, clean
+
+
 class TestPartition:
     def test_worked_example(self, project_e):
-        defective, clean = partition_artifacts(project_e)
+        defective, clean = split_by_mask(project_e)
         assert defective == {"s1", "s2"}
         assert clean == {"s3"}
 
     def test_no_defects(self):
         project = Project("p", (Artifact("a", 1), Artifact("b", 2)), ())
-        defective, clean = partition_artifacts(project)
+        defective, clean = split_by_mask(project)
         assert defective == frozenset()
         assert clean == {"a", "b"}
 
@@ -38,13 +46,14 @@ class TestPartition:
             (Artifact("a", 1), Artifact("b", 2)),
             (Defect("d", frozenset({"a", "b"})),),
         )
-        defective, clean = partition_artifacts(project)
+        defective, clean = split_by_mask(project)
         assert defective == {"a", "b"}
         assert clean == frozenset()
 
     @given(projects())
     def test_partition_is_a_partition(self, project):
-        defective, clean = partition_artifacts(project)
+        defective, clean = split_by_mask(project)
+        assert defective == frozenset(m for d in project.defects for m in d.members)
         assert defective & clean == frozenset()
         assert len(defective | clean) == len(project.artifacts)
 
