@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acc-max", type=_finite_float, default=0.95)
     p.add_argument("--acc-step", type=_positive_float, default=0.05)
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--p-qf", type=float, action="append")
+    p.add_argument("--p-qf", type=_finite_float, action="append")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 

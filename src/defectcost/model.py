@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -35,6 +36,10 @@ class Artifact:
     size: int
 
     def __post_init__(self):
+        if not isinstance(self.size, int) or isinstance(self.size, bool):
+            raise InputContractError(
+                f"artifact {self.id!r} has size {self.size!r}, must be an integer"
+            )
         if self.size < 1:
             raise InputContractError(f"artifact {self.id!r} has size {self.size}, must be >= 1")
 
@@ -206,13 +211,10 @@ def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
     extra = labels.keys() - project.artifact_index.keys()
     if extra:
         raise InputContractError(f"unknown artifact {sorted(extra)[0]!r} in prediction")
-    out = np.empty(len(project.artifacts), dtype=np.int8)
-    for i, artifact in enumerate(project.artifacts):
-        try:
-            out[i] = labels[artifact.id]
-        except KeyError:
-            raise InputContractError(f"unlabeled artifact {artifact.id!r}") from None
-    return out
+    try:
+        return np.fromiter(map(labels.__getitem__, project.artifact_index), np.int8)
+    except KeyError as missing:
+        raise InputContractError(f"unlabeled artifact {missing.args[0]!r}") from None
 
 
 def _classify_labels(project: Project, labels: np.ndarray) -> tuple[ConfusionMatrix, np.ndarray]:
@@ -246,9 +248,7 @@ def classify(project: Project, prediction: Prediction) -> OutcomeSummary:
     cm, predicted_mask = _classify_labels(project, labels)
     predicted = frozenset(d.id for d, hit in zip(project.defects, predicted_mask) if hit)
     missed = frozenset(d.id for d in project.defects) - predicted
-    predicted_artifacts = frozenset(
-        a.id for a, lab in zip(project.artifacts, labels) if lab == 1
-    )
+    predicted_artifacts = frozenset(compress(project.artifact_index, labels.tolist()))
     return OutcomeSummary(
         cm=cm,
         predicted_defects=predicted,

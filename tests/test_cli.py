@@ -205,14 +205,18 @@ class TestCostArguments:
             ("cost", "--c-init"),
             ("cost", "--c-exec"),
             ("boundaries", "--p-qf"),
+            ("simulate", "--p-qf"),
         ],
     )
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_is_usage_error(
         self, matrix_path, prediction_path, command, flag, value, capsys
     ):
-        argv = [command, "--matrix", matrix_path, "--predictions", prediction_path]
-        argv += ["--kind", "const-n-m", flag, value]
+        if command == "simulate":
+            argv = [command, "--matrix", matrix_path, "--seed", "1", "--reps", "1", flag, value]
+        else:
+            argv = [command, "--matrix", matrix_path, "--predictions", prediction_path]
+            argv += ["--kind", "const-n-m", flag, value]
         if command == "cost" and flag != "--c-ratio":
             argv += ["--c-ratio", "10"]
         assert cli_dispatch(argv) == 2

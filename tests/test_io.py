@@ -1,5 +1,7 @@
+import hashlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectcost import (
@@ -14,11 +16,13 @@ from defectcost import (
     parse_matrix,
     parse_prediction,
     project_view,
+    sample_corpus,
     summarize,
 )
 from defectcost.synthetic import SAMPLE_AGGREGATES, project_from_aggregates
 
-from .strategies import projects
+from . import matrix_reference
+from .strategies import labeled_projects, projects
 
 MATRIX_E = "file,loc,d1,d2\ns1,100,1,1\ns2,50,0,1\ns3,10,0,0\n"
 
@@ -129,6 +133,110 @@ class TestParseMatrix:
             format_matrix(project)
 
 
+# What the mutations below insert or write over one character: cell values,
+# separators, a two-character cell, a letter, a non-ASCII letter, a digit that
+# is not a cell value, a space and nothing (which deletes the character).
+EDIT_TOKENS = ["0", "1", ",", "\n", "\r", "01", "a", "é", "2", " ", ""]
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after one to four insertions, deletions or replacements.
+
+    An edit after the first is often within a few characters of the one
+    before, so that one row often holds two errors."""
+    at = len(text) // 2
+    for _ in range(draw(st.integers(1, 4))):
+        near = draw(st.booleans())
+        low, high = (max(0, at - 4), min(len(text), at + 4)) if near else (0, len(text))
+        at = draw(st.integers(low, high))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        token = draw(st.sampled_from(EDIT_TOKENS))
+        if op == "insert":
+            text = text[:at] + token + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + token + text[at + 1 :]
+    return text
+
+
+def outcome(parse, *args):
+    """What ``parse`` returns, or the message, line and column of its ``ParseError``."""
+    try:
+        return parse(*args)
+    except ParseError as error:
+        return str(error), error.line, error.column
+
+
+@st.composite
+def mutated_matrices(draw):
+    project = draw(st.one_of(projects(), renamed_projects()))
+    return draw(mutated(format_matrix(project)))
+
+
+class TestParseMatrixAgainstReference:
+    """``parse_matrix`` against the cell-by-cell parser in ``matrix_reference``."""
+
+    @settings(max_examples=400)
+    @given(mutated_matrices())
+    def test_mutated_matrix(self, text):
+        assert outcome(parse_matrix, text) == outcome(matrix_reference.parse_matrix, text)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # no defect columns: a row has exactly two fields
+            ("file,loc\ns1,1\n", None),
+            ("file,loc\ns1,1,\n", ("expected 2 fields, found 3", 2, 3)),
+            ("file,loc\ns1\n", ("expected 2 fields, found 1", 2, 1)),
+            # CRLF, a trailing \r at the end, and blank lines
+            (MATRIX_E.replace("\n", "\r\n"), None),
+            ("file,loc,d1\r\ns1,1,1\r", None),
+            ("file,loc,d1\ns1,1,1\n\n\r\n\n", None),
+            ("file,loc,d1\ns1,1,1\n\ns2,1,0\n", ("expected 3 fields, found 1", 3, 1)),
+            ("file,loc,d1\ns1,1,1\r\r\n", ("cell must be 0 or 1, got '1\\r'", 2, 3)),
+            # the first bad row wins, and within a row: id, size, then each cell
+            ("file,loc,d1,d2\ns1,1,0,2\n,1,1,0\n", ("cell must be 0 or 1, got '2'", 2, 4)),
+            ("file,loc,d1,d2\ns1,1,1,0\n,x,2,0\n", ("empty file id", 3, 1)),
+            ("file,loc,d1,d2\ns1,1,1,0\ns1,1,2,0\n", ("duplicate file id 's1'", 3, 1)),
+            ("file,loc,d1,d2\ns1,x,2,0\n", ("size 'x' is not an integer", 2, 2)),
+            ("file,loc,d1,d2\ns1,1,0,é\n", ("cell must be 0 or 1, got 'é'", 2, 4)),
+            # cells that are not one character each
+            ("file,loc,d1,d2\ns1,1,01,1\n", ("cell must be 0 or 1, got '01'", 2, 3)),
+            ("file,loc,d1,d2\ns1,1,11,0\n", ("cell must be 0 or 1, got '11'", 2, 3)),
+            ("file,loc,d1,d2\ns1,1,1,\n", ("cell must be 0 or 1, got ''", 2, 4)),
+            ("file,loc,d1,d2\ns1,1, 1,0\n", ("cell must be 0 or 1, got ' 1'", 2, 3)),
+            ("file,loc,d1,d2\ns1,1,1,0,\n", ("expected 4 fields, found 5", 2, 5)),
+            ("file,loc,d1,d2\ns1,1,10\n", ("expected 4 fields, found 3", 2, 3)),
+        ],
+    )
+    def test_edge_case(self, text, error):
+        result = outcome(parse_matrix, text)
+        assert result == outcome(matrix_reference.parse_matrix, text)
+        if error is None:
+            assert isinstance(result, Project)
+        else:
+            message, line, column = error
+            assert message in result[0] and result[1:] == (line, column)
+
+
+class TestFormatMatrix:
+    @given(st.one_of(projects(), renamed_projects()))
+    def test_same_bytes_as_reference(self, project):
+        assert format_matrix(project) == matrix_reference.format_matrix(project)
+
+    def test_corpus_fingerprint(self):
+        # sha256 of the concatenated format_matrix(p) over sample_corpus(2024),
+        # as the cell-by-cell writer wrote it
+        digest = hashlib.sha256()
+        for project in sample_corpus(2024):
+            digest.update(format_matrix(project).encode())
+        assert digest.hexdigest() == (
+            "cc46dde016bbc662d3e588d39b547ef12d62304fd7613b44293f0ce3b58b8320"
+        )
+
+
 class TestParsePrediction:
     def test_worked_example(self, project_e, prediction_e):
         text = "file,label\ns1,1\ns2,0\ns3,0\n"
@@ -153,6 +261,38 @@ class TestParsePrediction:
     def test_bad_header(self, project_e):
         with pytest.raises(ParseError, match="file,label"):
             parse_prediction("path,label\ns1,1\n", project_e)
+
+    @settings(max_examples=300)
+    @given(labeled_projects(), st.data())
+    def test_mutated_prediction_against_reference(self, case, data):
+        project, prediction = case
+        rows = "".join(f"{a.id},{prediction.labels[a.id]}\n" for a in project.artifacts)
+        text = data.draw(mutated("file,label\n" + rows))
+        assert outcome(parse_prediction, text, project) == outcome(
+            matrix_reference.parse_prediction, text, project
+        )
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ("s1,1\ns2,0\ns3,0\n", None),
+            ("s3,0\r\ns1,1\r\n\ns2,0\n", ("expected 2 fields, found 1", 4, 1)),
+            ("s1,1\ns2,0\ns3,0\ns1,1\n", ("duplicate row for artifact 's1'", 5, 1)),
+            ("s1,1\ns2,0\ns3,2\ns4,1\n", ("label must be 0 or 1, got '2'", 4, 2)),
+            ("s1,1\ns4,5\ns3,2\n", ("unknown artifact 's4'", 3, 1)),
+            ("s1,1\ns2,0,1\ns3,0\n", ("expected 2 fields, found 3", 3, 3)),
+            ("s1,1\ns3,0\n", ("unlabeled artifact 's2'", None, None)),
+        ],
+    )
+    def test_edge_case(self, project_e, rows, error):
+        text = "file,label\n" + rows
+        result = outcome(parse_prediction, text, project_e)
+        assert result == outcome(matrix_reference.parse_prediction, text, project_e)
+        if error is None:
+            assert result.labels == {"s1": 1, "s2": 0, "s3": 0}
+        else:
+            message, line, column = error
+            assert message in result[0] and result[1:] == (line, column)
 
 
 class TestSummarize:

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -16,6 +19,7 @@ from defectcost import (
     recall,
 )
 
+from . import matrix_reference
 from .strategies import labeled_projects, projects
 
 
@@ -94,6 +98,32 @@ class TestClassify:
         all_ids = {d.id for d in project.defects}
         assert outcome.predicted_defects | outcome.missed_defects == all_ids
         assert outcome.predicted_defects & outcome.missed_defects == frozenset()
+
+    @given(labeled_projects())
+    def test_same_outcome_as_reference(self, case):
+        project, prediction = case
+        for relationship in Relationship:
+            view = project_view(project, relationship)
+            assert classify(view, prediction) == matrix_reference.classify(view, prediction)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"s1": 1, "s2": 0},
+            {"s2": 0},
+            {"s1": 1, "s2": 0, "s3": 0, "s4": 1, "s0": 0},
+            {"s1": True, "s2": 1.0, "s3": np.int64(0)},
+            {"s1": Fraction(1), "s2": np.bool_(False), "s3": np.float32(1)},
+        ],
+    )
+    def test_same_labels_and_errors_as_reference(self, project_e, labels):
+        def run(classify):
+            try:
+                return classify(project_e, Prediction(labels))
+            except InputContractError as error:
+                return str(error)
+
+        assert run(classify) == run(matrix_reference.classify)
 
     @given(projects())
     def test_perfect_prediction_misses_nothing(self, project):
@@ -184,6 +214,13 @@ class TestInvariantEnforcement:
     def test_artifact_size_must_be_positive(self):
         with pytest.raises(InputContractError):
             Artifact("a", 0)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True])
+    def test_artifact_size_must_be_an_integer(self, size):
+        # a float or bool size would be written to matrix CSV as "2.5", "2.0"
+        # or "True", which parse_matrix rejects, and would make QA sums inexact
+        with pytest.raises(InputContractError, match="must be an integer"):
+            Artifact("a", size)
 
     def test_defect_must_have_members(self):
         with pytest.raises(InputContractError):
