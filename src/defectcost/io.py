@@ -1,7 +1,7 @@
 """Reading, writing, and summarizing defect-matrix and prediction files.
 
-Matrix CSV grammar (strict, no quoting; ids are non-empty, without a comma
-or a line break):
+Matrix CSV grammar (strict, no quoting; ids are non-empty, without a comma,
+a line break or a carriage return):
 
     file,loc,d1,d2
     s1,100,1,1
@@ -71,6 +71,10 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     for j, defect_id in enumerate(defect_ids):
         if defect_id == "":
             raise ParseError("empty defect id", line=1, column=3 + j)
+        if "\r" in defect_id:
+            raise ParseError(
+                f"defect id {defect_id!r} holds a carriage return", line=1, column=3 + j
+            )
         if defect_id in seen_defects:
             raise ParseError(f"duplicate defect id {defect_id!r}", line=1, column=3 + j)
         seen_defects.add(defect_id)
@@ -80,6 +84,7 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     artifacts: list[Artifact] = []
     seen_files: set[str] = set()
     members: list[list[str]] = [[] for _ in defect_ids]
+    carriage_return = "\r" in text  # only then can a file id hold one
     for row_number, line in enumerate(lines[1:], start=2):
         fields = line.split(",", 2)
         cells = fields[2] if len(fields) == 3 else ""
@@ -92,6 +97,10 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
         file_id = fields[0]
         if file_id == "":
             raise ParseError("empty file id", line=row_number, column=1)
+        if carriage_return and "\r" in file_id:
+            raise ParseError(
+                f"file id {file_id!r} holds a carriage return", line=row_number, column=1
+            )
         if file_id in seen_files:
             raise ParseError(f"duplicate file id {file_id!r}", line=row_number, column=1)
         seen_files.add(file_id)

@@ -120,6 +120,23 @@ def _optional_float(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
+def _counts_written(texts, values) -> bool:
+    """Whether counts are written as ``str`` writes them: ASCII digits with no
+    leading 0, space, separator or sign other than a minus."""
+    return all(map(operator.eq, map(str, values), texts))
+
+
+def _floats_written(texts, values) -> bool:
+    """Whether floats hold only the characters ``repr`` writes, or are the text ``inf``.
+
+    Once those characters are deleted from the joined texts, in one pass (a
+    non-ASCII character is left as ``?``), what is left must be one ``inf``
+    per text that is exactly ``inf``.  The range checks reject an ``inf``
+    where only a boundary may be unbounded."""
+    left = "".join(texts).encode("ascii", "replace").translate(None, b"0123456789.e+-")
+    return left == b"inf" * texts.count("inf")
+
+
 def _in_unit(value) -> bool:
     return value is None or 0.0 <= value <= 1.0
 
@@ -127,16 +144,27 @@ def _in_unit(value) -> bool:
 _SAVING_VALUES = {"true": True, "false": False}
 _NON_NEGATIVE = (0.0).__le__
 # How each record field other than project, qa_mode and relationship is read
-# from its text: (convert, check, what the check requires).  The checks take
-# the ranges the grid produces; their comparisons also reject nan.
+# from its text: (convert, whether the texts are written as emit_records writes
+# them, check, what the check requires).  Texts and values go in as columns, so
+# a column is checked with a few calls, not one Python call per value.  The
+# checks take the ranges the grid produces; their comparisons also reject nan.
 _FIELD_RULES = {
-    "accuracy": (float, _in_unit, "in [0, 1]"),
-    "repetition": (int, _NON_NEGATIVE, ">= 0"),
-    "p_qf": (float, lambda p_qf: 0.0 <= p_qf < 1.0, "in [0, 1)"),
-    **{name: (int, _NON_NEGATIVE, ">= 0") for name in ("tp", "fp", "tn", "fn")},
-    **{name: (_optional_float, _in_unit, "in [0, 1] or empty") for name in METRICS},
-    **{name: (float, _NON_NEGATIVE, ">= 0 or inf") for name in BOUNDS},
-    "cost_saving": (_SAVING_VALUES.get, partial(operator.is_not, None), "true or false"),
+    "accuracy": (float, _floats_written, _in_unit, "in [0, 1]"),
+    "repetition": (int, _counts_written, _NON_NEGATIVE, ">= 0"),
+    "p_qf": (float, _floats_written, lambda p_qf: 0.0 <= p_qf < 1.0, "in [0, 1)"),
+    **{
+        name: (int, _counts_written, _NON_NEGATIVE, ">= 0")
+        for name in ("tp", "fp", "tn", "fn")
+    },
+    **{
+        name: (_optional_float, _floats_written, _in_unit, "in [0, 1] or empty")
+        for name in METRICS
+    },
+    **{name: (float, _floats_written, _NON_NEGATIVE, ">= 0 or inf") for name in BOUNDS},
+    "cost_saving": (
+        _SAVING_VALUES.get, lambda texts, values: True, partial(operator.is_not, None),
+        "true or false",
+    ),
 }
 _KIND_BY_FIELDS = {(k.qa_mode.value, k.relationship.value): k for k in ALL_KINDS}
 # Positions in CSV_COLUMNS of a record's cell fields (its labeling) and of its
@@ -165,10 +193,11 @@ _JSON_TYPES = {
 
 
 def _read(name: str, texts) -> list:
-    """The values of one field's texts; ValueError when one is unreadable or out of range."""
-    convert, check, _ = _FIELD_RULES[name]
+    """The values of one field's texts; ValueError when one is unreadable,
+    not written as ``emit_records`` writes it, or out of range."""
+    convert, written, check, _ = _FIELD_RULES[name]
     values = list(map(convert, texts))
-    if not all(map(check, values)):
+    if not (written(texts, values) and all(map(check, values))):
         raise ValueError(f"bad value for {name!r}")
     return values
 
@@ -180,10 +209,13 @@ def _row_problem(fields) -> str | None:
     row = dict(zip(CSV_COLUMNS, fields))
     if (row["qa_mode"], row["relationship"]) not in _KIND_BY_FIELDS:
         return f"unknown model kind {row['qa_mode']!r}/{row['relationship']!r}"
-    for name, (convert, check, requirement) in _FIELD_RULES.items():
+    for name, (convert, written, check, requirement) in _FIELD_RULES.items():
         try:
             value = convert(row[name])
+            readable = written([row[name]], [value])
         except ValueError:
+            readable = False
+        if not readable:
             return f"bad value for {name!r}: {row[name]!r}"
         if not check(value):
             return f"{name} must be {requirement}, got {row[name]!r}"
@@ -330,7 +362,11 @@ def parse_records(text: str, format: str = "csv") -> RecordTable:
     read as the CSV fields they would be written as.  A value outside the
     range the grid produces is rejected: an accuracy, precision or recall
     outside [0, 1], a ``p_qf`` outside [0, 1), a negative count or
-    repetition, and a negative or ``nan`` boundary.  ``ParseError.line`` is
+    repetition, and a negative or ``nan`` boundary.  So is a number not
+    written the way ``emit_records`` writes it: a count or repetition other
+    than ASCII ``0`` or ``[1-9][0-9]*``, a float with a character other than
+    the digits, ``.``, ``e``, ``+`` and ``-`` that ``repr`` uses, and an
+    unbounded boundary other than the text ``inf``.  ``ParseError.line`` is
     the line in the CSV text, counting blank lines, or the 1-based position
     of the record in the JSON array.
     """

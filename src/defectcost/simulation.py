@@ -9,16 +9,24 @@ per grid cell.
 
 Determinism contract
 --------------------
-Labels are drawn from numpy's PCG64 generator.  The seed of each grid cell is
-derived from the master seed and the cell's (accuracy index, repetition index)
-by chaining the SplitMix64 finalizer:
+The labels of a cell are drawn from the PCG64 stream of
+``np.random.PCG64(seed)``, where the seed of each grid cell is derived from
+the master seed and the cell's (accuracy index, repetition index) by chaining
+the SplitMix64 finalizer:
 
     h = splitmix64(master_seed)
     h = splitmix64(h ^ accuracy_index)
     h = splitmix64(h ^ repetition_index)
 
 so results are a pure function of the inputs, independent of evaluation
-order.  One labeling per (accuracy, repetition) cell is shared by all failure
+order.  ``simulate_prediction`` seeds ``np.random.PCG64(cell_seed)`` itself;
+``run_grid`` derives the same seeded (state, inc) of every cell at once
+(``_pcg64_states``: numpy's ``SeedSequence`` hash, NEP 19, then the PCG64
+seeding step of M. E. O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number Generation",
+2014) and sets one reused generator to each.  ``TestPCG64States`` in
+``tests/test_simulation.py`` pins that derivation to numpy's own seeding.
+One labeling per (accuracy, repetition) cell is shared by all failure
 probabilities and model kinds, which isolates their effect from sampling
 noise.  Records come in canonical order: by accuracy value, repetition, p_qf
 and kind, with cells of equal accuracy values in grid order within each
@@ -70,11 +78,98 @@ def cell_seed(master_seed: int, accuracy_index: int, repetition_index: int) -> i
     return mixed
 
 
-def _simulate_labels(truth: np.ndarray, accuracy: float, seed: int, out=None) -> np.ndarray:
-    """Predicted-defective flags: each true label is kept with probability ``accuracy``."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    correct = rng.random(len(truth)) < accuracy
-    return np.equal(correct, truth, out=out)
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiply) constants of ``count`` successive SeedSequence hashes."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((np.uint32(init), np.uint32(init * mult & 0xFFFFFFFF)))
+        init = init * mult & 0xFFFFFFFF
+    return pairs
+
+
+# numpy's SeedSequence with a pool of 4 words: 16 hashes (INIT_A, MULT_A) mix
+# the entropy into the pool, 8 more (INIT_B, MULT_B) draw PCG64's 4 uint64 words
+_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash(value: np.ndarray, constants: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    """SeedSequence's hash of uint32 words: xor, multiply, then xorshift 16."""
+    xor, mult = constants
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 pool words into one."""
+    value = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The (state, inc) of ``np.random.PCG64(seed)`` for every seed in [0, 2^64), at once.
+
+    The SeedSequence pool hash runs as uint32 arithmetic across all seeds: the
+    seed's two 32-bit words, padded with zeros to the pool of 4, are hashed in,
+    every ordered pair of pool words is mixed, and 8 hashes of the pool give
+    ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 | w3``.  PCG64 then
+    seeds with ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * M + inc``
+    modulo 2^128.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    hashes = iter(_POOL_HASHES)
+    pool = [_hash(word, next(hashes)) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(hashes)))
+    words = [_hash(pool[i % 4], c).astype(np.uint64) for i, c in enumerate(_STATE_HASHES)]
+    w0, w1, w2, w3 = (
+        (words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
+    )
+    states = []
+    for state_high, state_low, seq_high, seq_low in zip(w0, w1, w2, w3):
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _simulate_labels(
+    truth: np.ndarray,
+    accuracies: np.ndarray,
+    generator: np.random.Generator,
+    out: np.ndarray,
+    states: Sequence[tuple[int, int]] | None = None,
+) -> np.ndarray:
+    """Predicted-defective flags, one labeling per row of the float64 ``out``.
+
+    Row ``i`` keeps each true label with probability ``accuracies[i]`` and flips
+    it otherwise.  Its uniforms are drawn by ``generator`` after its PCG64 bit
+    generator is set to ``states[i]``, a (state, inc) pair; without ``states``,
+    ``out`` has one row, drawn from the generator as it stands.
+    """
+    if states is None:
+        generator.random(out=out[0])
+    else:
+        bitgen = generator.bit_generator
+        for row, (state, inc) in zip(out, states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            generator.random(out=row)
+    return np.equal(out < accuracies[:, None], truth, out=out)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Prediction:
@@ -82,11 +177,17 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
 
     Artifacts are processed in the project's stored order; each keeps its true
     label with probability ``accuracy`` and is flipped otherwise.  The result
-    is fully determined by ``cell_seed``.
+    is fully determined by ``cell_seed``, an integer in [0, 2^64).
     """
     if not 0.0 <= accuracy <= 1.0:
         raise InputContractError(f"accuracy must be in [0, 1], got {accuracy}")
-    labels = _simulate_labels(project.defective_mask, accuracy, cell_seed).astype(np.int8)
+    if not (_is_int(cell_seed) and 0 <= cell_seed <= _MASK64):
+        raise InputContractError(f"cell_seed must be an integer in [0, 2^64), got {cell_seed!r}")
+    truth = project.defective_mask
+    generator = np.random.Generator(np.random.PCG64(cell_seed))
+    labels = _simulate_labels(
+        truth, np.array([accuracy]), generator, np.empty((1, len(truth)))
+    )[0].astype(np.int8)
     return Prediction(labels=dict(zip((a.id for a in project.artifacts), labels.tolist())))
 
 
@@ -111,6 +212,8 @@ class GridConfig:
         for a in self.accuracies:
             if not 0.0 <= a <= 1.0:
                 raise InputContractError(f"accuracy {a} outside [0, 1]")
+        if not _is_int(self.repetitions):
+            raise InputContractError(f"repetitions must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise InputContractError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.p_qf_values:
@@ -118,7 +221,7 @@ class GridConfig:
         for p in self.p_qf_values:
             if not 0.0 <= p < 1.0:
                 raise InputContractError(f"p_qf {p} outside [0, 1)")
-        if not 0 <= self.seed <= _MASK64:
+        if not (_is_int(self.seed) and 0 <= self.seed <= _MASK64):
             raise InputContractError("seed must be an unsigned 64-bit integer")
         if not self.model_kinds:
             raise InputContractError("model_kinds must not be empty")
@@ -258,16 +361,19 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
     labels = np.empty((block, n))
     # cell_seed(config.seed, a, r), mixing the master seed and each accuracy index once
     master = splitmix64(config.seed)
-    seeds = [
+    states = _pcg64_states([
         splitmix64(mixed ^ r)
         for mixed in (splitmix64(master ^ a) for a in range(len(config.accuracies)))
         for r in range(repetitions)
-    ]
+    ])
+    accuracies = np.repeat(config.accuracies, repetitions)
+    # one generator for every cell; its PCG64 is set to each cell's state in turn
+    generator = np.random.Generator(np.random.PCG64(0))
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
-        rows = labels[: stop - start]
-        for row, cell in zip(rows, range(start, stop)):
-            _simulate_labels(truth, config.accuracies[cell // repetitions], seeds[cell], row)
+        rows = _simulate_labels(
+            truth, accuracies[start:stop], generator, labels[: stop - start], states[start:stop]
+        )
         sums[start:stop] = rows @ columns
         if len(cards):
             hit = np.minimum.reduceat(rows[:, indices], starts[:-1], axis=1)

@@ -44,6 +44,10 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     for j, defect_id in enumerate(defect_ids):
         if defect_id == "":
             raise ParseError("empty defect id", line=1, column=3 + j)
+        if "\r" in defect_id:
+            raise ParseError(
+                f"defect id {defect_id!r} holds a carriage return", line=1, column=3 + j
+            )
         if defect_id in seen_defects:
             raise ParseError(f"duplicate defect id {defect_id!r}", line=1, column=3 + j)
         seen_defects.add(defect_id)
@@ -61,6 +65,10 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
         file_id = fields[0]
         if file_id == "":
             raise ParseError("empty file id", line=row_number, column=1)
+        if "\r" in file_id:
+            raise ParseError(
+                f"file id {file_id!r} holds a carriage return", line=row_number, column=1
+            )
         if file_id in seen_files:
             raise ParseError(f"duplicate file id {file_id!r}", line=row_number, column=1)
         seen_files.add(file_id)

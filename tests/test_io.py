@@ -123,6 +123,20 @@ class TestParseMatrix:
     def test_round_trip_any_writable_id(self, project):
         assert parse_matrix(format_matrix(project), project_id=project.id) == project
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("file,loc,d1\na\rb,1,1\n", 2, 1),
+            ("file,loc,d\r1\na,1,1\n", 1, 3),
+            ("file,loc,d1\r\ns1,1,1\r\n\rb,1,0\r\n", 3, 1),
+            ("file,loc,d1,d\r2\r\ns1,1,1,1\r\n", 1, 4),
+        ],
+    )
+    def test_carriage_return_inside_id(self, text, line, column):
+        with pytest.raises(ParseError, match="carriage return") as err:
+            parse_matrix(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     @pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "d\r", "\r"])
     @pytest.mark.parametrize("where", ["artifact", "defect"])
     def test_format_rejects_unwritable_id(self, bad, where):
@@ -183,6 +197,13 @@ class TestParseMatrixAgainstReference:
     def test_mutated_matrix(self, text):
         assert outcome(parse_matrix, text) == outcome(matrix_reference.parse_matrix, text)
 
+    @settings(max_examples=400)
+    @given(mutated_matrices())
+    def test_accepted_matrix_can_be_written(self, text):
+        result = outcome(parse_matrix, text)
+        if isinstance(result, Project):
+            assert parse_matrix(format_matrix(result), project_id=result.id) == result
+
     @pytest.mark.parametrize(
         "text, error",
         [
@@ -209,6 +230,10 @@ class TestParseMatrixAgainstReference:
             ("file,loc,d1,d2\ns1,1, 1,0\n", ("cell must be 0 or 1, got ' 1'", 2, 3)),
             ("file,loc,d1,d2\ns1,1,1,0,\n", ("expected 4 fields, found 5", 2, 5)),
             ("file,loc,d1,d2\ns1,1,10\n", ("expected 4 fields, found 3", 2, 3)),
+            # a \r inside an id, found after a bad row above it and before its own size
+            ("file,loc,d1\ns\r1,x,1\n", ("file id 's\\r1' holds a carriage return", 2, 1)),
+            ("file,loc,d1\ns1,1,2\ns\r2,1,1\n", ("cell must be 0 or 1, got '2'", 2, 3)),
+            ("file,loc,d\r1\ns1,1,2\n", ("defect id 'd\\r1' holds a carriage return", 1, 3)),
         ],
     )
     def test_edge_case(self, text, error):

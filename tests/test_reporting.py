@@ -152,6 +152,68 @@ class TestParseRecordsStrict:
             parse_records(f"{header}\n{','.join(fields)}\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("tp", "+4"),
+            ("tp", "1_0"),
+            ("fp", " 6 "),
+            ("tn", "\u0661\u0660"),
+            ("fn", "06"),
+            ("fn", ""),
+            ("repetition", "+0"),
+            ("repetition", "0_0"),
+            ("accuracy", "\u0664"),
+            ("accuracy", " 0.5 "),
+            ("p_qf", "0_0.0"),
+            ("precision", "0.5 "),
+            ("recall", "\u0660.4"),
+            ("lower", "Infinity"),
+            ("lower", "INF"),
+            ("lower", "infinity"),
+            ("upper", "+inf"),
+            ("upper", "1_0.0"),
+            ("upper", " 1.0 "),
+            ("lower", "\u0664"),
+        ],
+    )
+    def test_csv_number_not_as_written(self, column, value):
+        header, row = emit_records([record()]).split("\n")[:2]
+        fields = row.split(",")
+        fields[header.split(",").index(column)] = value
+        with pytest.raises(ParseError, match=column) as err:
+            parse_records(f"{header}\n{row}\n{','.join(fields)}\n")
+        assert err.value.line == 3
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789.e+-infINFty _\u0664", max_size=8), st.sampled_from(BOUNDS))
+    def test_bound_text_as_repr_writes_it(self, text, bound):
+        # the column check and the row-by-row check agree: every text is
+        # either read as repr or inf writes it, or reported at its line
+        header, row = emit_records([record()]).split("\n")[:2]
+        fields = row.split(",")
+        fields[CSV_COLUMNS.index(bound)] = text
+        try:
+            table = parse_records(f"{header}\n{row}\n{','.join(fields)}\n")
+        except ParseError as error:
+            assert error.line == 3
+            return
+        assert text == "inf" or set(text) <= set("0123456789.e+-")
+        assert getattr(table, bound)[1] == float(text)
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_unbounded_boundary_spelled_otherwise_is_located(self, project_e, bound):
+        text = emit_records(run_grid(project_e, GridConfig(repetitions=1, seed=2)))
+        lines = text.split("\n")
+        column = CSV_COLUMNS.index(bound)
+        at = next(i for i, line in enumerate(lines[1:], 1) if line.split(",")[column] == "inf")
+        fields = lines[at].split(",")
+        fields[column] = "Infinity"
+        lines[at] = ",".join(fields)
+        with pytest.raises(ParseError, match=bound) as err:
+            parse_records("\n".join(lines))
+        assert err.value.line == at + 1
+
     @pytest.mark.parametrize("saving", [1, 0, None, 1.0])
     def test_json_cost_saving_must_be_boolean(self, saving):
         rows = json.loads(emit_records([record()], format="json"))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectcost import (
     ALL_KINDS,
@@ -58,6 +60,31 @@ class TestSeeding:
         assert len(seeds) == 19 * 100
 
 
+def numpy_pcg64_state(seed: int) -> tuple[int, int]:
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
+
+
+class TestPCG64States:
+    """``_pcg64_states`` derives exactly the state numpy's own seeding gives."""
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 2**64 - 1))
+    def test_any_uint64_seed(self, seed):
+        assert simulation._pcg64_states([seed]) == [numpy_pcg64_state(seed)]
+
+    def test_edge_seeds(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        assert simulation._pcg64_states(seeds) == list(map(numpy_pcg64_state, seeds))
+
+    def test_paper_grid_cell_seeds(self):
+        seeds = [cell_seed(424242, a, r) for a in range(19) for r in range(100)]
+        assert simulation._pcg64_states(seeds) == list(map(numpy_pcg64_state, seeds))
+
+    def test_no_seeds(self):
+        assert simulation._pcg64_states([]) == []
+
+
 class TestSimulatePrediction:
     def test_accuracy_one_is_truth(self, project_e):
         prediction = simulate_prediction(project_e, 1.0, cell_seed(1, 0, 0))
@@ -81,6 +108,15 @@ class TestSimulatePrediction:
     def test_accuracy_out_of_range(self, project_e):
         with pytest.raises(InputContractError):
             simulate_prediction(project_e, 1.2, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, True, "1", None])
+    def test_cell_seed_must_be_a_uint64(self, project_e, seed):
+        with pytest.raises(InputContractError, match="cell_seed"):
+            simulate_prediction(project_e, 0.5, seed)
+
+    def test_largest_cell_seed_accepted(self, project_e):
+        prediction = simulate_prediction(project_e, 1.0, 2**64 - 1)
+        assert prediction.labels == {"s1": 1, "s2": 1, "s3": 0}
 
     def test_correctness_rate_within_binomial_bounds(self):
         # 99.9% two-sided normal interval around the configured accuracy
@@ -120,7 +156,19 @@ class TestGridConfig:
         with pytest.raises(InputContractError):
             GridConfig(seed=-1)
         with pytest.raises(InputContractError):
+            GridConfig(seed=2**64)
+        with pytest.raises(InputContractError):
             GridConfig(model_kinds=())
+
+    @pytest.mark.parametrize("repetitions", [2.5, True, 3.0, "3", None])
+    def test_repetitions_must_be_an_integer(self, repetitions):
+        with pytest.raises(InputContractError, match="repetitions"):
+            GridConfig(repetitions=repetitions)
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InputContractError, match="seed"):
+            GridConfig(seed=seed)
 
 
 class TestRunGrid:
@@ -277,6 +325,16 @@ class TestAgainstReferenceLoop:
         for labels in (1, 3 * len(project.artifacts)):
             monkeypatch.setattr(simulation, "_BLOCK_LABELS", labels)
             assert_matches_reference(run_grid(project, config), expected)
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    def test_blocks_of_mixed_accuracies(self, rng, monkeypatch, cells):
+        # blocks of 1 and 3 cells: a block of 3 holds cells of different
+        # accuracies, whose labels are thresholded together
+        project = random_project(rng, max_artifacts=30, max_defects=8)
+        config = GridConfig(accuracies=(0.9, 0.3, 0.9, 0.0, 0.3, 1.0), repetitions=4, seed=12)
+        expected = reference_grid(project, config)
+        monkeypatch.setattr(simulation, "_BLOCK_CELLS", cells)
+        assert_matches_reference(run_grid(project, config), expected)
 
     def test_non_dyadic_p_qf_within_tolerance(self, rng):
         # (1 - 0.3)^|d| is not a dyadic fraction, so the n-m escape weights
