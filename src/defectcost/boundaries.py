@@ -21,6 +21,12 @@ whose sign pattern turns into an upper bound (defect_coeff > 0), a lower bound
 models, in any view; cost saving is possible at all only when the interval
 is non-empty.  Unbounded boundaries (a zero escape weight predicted for the
 lower, missed for the upper) are represented as ``math.inf``.
+
+One private formula, ``_ends``, gives the lower end, the upper end and the
+cost-saving verdict to both ``boundary_interval`` (one outcome, escape weights
+summed exactly) and ``defectcost.simulation.run_grid`` (every grid cell at
+once, as arrays).  Its divisions go through ``_threshold``, which also gives
+``theorem_boundary`` its threshold.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .costs import CostParams, ModelKind, _check_kind, _powers, _Terms, _terms
+import numpy as np
+
+from .costs import CostParams, ModelKind, _check_kind, _powers, _terms
 from .errors import InputContractError
 from .model import OutcomeSummary, Project
 
@@ -79,30 +87,28 @@ class BoundaryInterval:
     cost_saving_possible: bool
 
 
-def _condition(
-    project: Project, terms: _Terms, p_qa: float, params: CostParams
-) -> BoundaryCondition:
-    covered = _powers(p_qa, project.defect_cardinalities)
-    coeff = math.fsum((terms.weight * (covered - terms.hit)).tolist())
-    margin = p_qa * (terms.spent + terms.unspent) - terms.spent - params.c_init - params.c_exec
-    if coeff > 0:
-        kind = BoundKind.UPPER_BOUND
-    elif coeff < 0:
-        kind = BoundKind.LOWER_BOUND
-    elif margin > 0:
-        kind = BoundKind.ALWAYS_PROFITABLE
-    else:
-        kind = BoundKind.NEVER_PROFITABLE
-    threshold = margin / coeff if coeff != 0 else UNBOUNDED
-    return BoundaryCondition(defect_coeff=coeff, qa_margin=margin, kind=kind, threshold=threshold)
+def _threshold(coeff, margin):
+    """margin / coeff, or UNBOUNDED where coeff is 0; a float coeff skips numpy's call cost."""
+    if isinstance(coeff, float):
+        return margin / coeff if coeff else UNBOUNDED
+    out = np.full(np.broadcast_shapes(np.shape(coeff), np.shape(margin)), UNBOUNDED)
+    return np.divide(margin, coeff, out=out, where=coeff != 0)
 
 
-def _ends(project: Project, terms: _Terms, params: CostParams) -> tuple[float, float]:
-    """The p_qa = 0 and p_qa = 1 thresholds; an upper bound below 0 clamps to 0."""
-    lower = _condition(project, terms, 0.0, params).threshold
-    at_one = _condition(project, terms, 1.0, params)
-    clamp = at_one.kind is BoundKind.UPPER_BOUND and at_one.qa_margin < 0
-    return lower, 0.0 if clamp else at_one.threshold
+def _ends(spent, unspent, prevented, lost, c_init=0.0, c_exec=0.0):
+    """(lower, upper, cost_saving) element-wise: the p_qa = 0 and p_qa = 1 thresholds of
+    ``theorem_boundary``, with coefficients -prevented and lost; upper clamps to 0."""
+    lower = _threshold(-prevented, -spent - c_init - c_exec)
+    upper = np.maximum(_threshold(lost, unspent - c_init - c_exec), 0.0)
+    return lower, upper, np.isfinite(lower) & (lower < upper)
+
+
+def _interval(project: Project, outcome: OutcomeSummary, params: CostParams) -> BoundaryInterval:
+    """``_ends`` of one outcome, with the escape weights summed exactly."""
+    spent, unspent, weight, hit = _terms(project, outcome, params)
+    prevented, lost = (math.fsum(weight[defects].tolist()) for defects in (hit, ~hit))
+    lower, upper, possible = _ends(spent, unspent, prevented, lost, params.c_init, params.c_exec)
+    return BoundaryInterval(float(lower), float(upper), bool(possible))
 
 
 def theorem_boundary(
@@ -123,7 +129,19 @@ def theorem_boundary(
     """
     if not 0.0 <= p_qa <= 1.0:
         raise InputContractError(f"p_qa must be in [0, 1], got {p_qa}")
-    return _condition(project, _terms(project, outcome, params), p_qa, params)
+    terms = _terms(project, outcome, params)
+    covered = _powers(p_qa, project.defect_cardinalities)
+    coeff = math.fsum((terms.weight * (covered - terms.hit)).tolist())
+    margin = p_qa * (terms.spent + terms.unspent) - terms.spent - params.c_init - params.c_exec
+    if coeff > 0:
+        kind = BoundKind.UPPER_BOUND
+    elif coeff < 0:
+        kind = BoundKind.LOWER_BOUND
+    elif margin > 0:
+        kind = BoundKind.ALWAYS_PROFITABLE
+    else:
+        kind = BoundKind.NEVER_PROFITABLE
+    return BoundaryCondition(coeff, margin, kind, _threshold(coeff, margin))
 
 
 def lower_boundary(project: Project, outcome: OutcomeSummary, params: CostParams) -> float:
@@ -133,7 +151,7 @@ def lower_boundary(project: Project, outcome: OutcomeSummary, params: CostParams
     artifacts + c_init + c_exec) divided by the escape weight of the predicted
     defects; unbounded when that weight is 0 (no defect is fully predicted).
     """
-    return _ends(project, _terms(project, outcome, params), params)[0]
+    return _interval(project, outcome, params).lower
 
 
 def upper_boundary(project: Project, outcome: OutcomeSummary, params: CostParams) -> float:
@@ -145,7 +163,7 @@ def upper_boundary(project: Project, outcome: OutcomeSummary, params: CostParams
     A negative numerator (overheads exceed the QA saved) clamps to 0: no
     positive cost ratio qualifies.
     """
-    return _ends(project, _terms(project, outcome, params), params)[1]
+    return _interval(project, outcome, params).upper
 
 
 def boundary_interval(
@@ -157,6 +175,4 @@ def boundary_interval(
     (``lower_boundary``, ``upper_boundary``) in that view.
     """
     _check_kind(project, params, kind)
-    lower, upper = _ends(project, _terms(project, outcome, params), params)
-    possible = math.isfinite(lower) and lower < upper
-    return BoundaryInterval(lower=lower, upper=upper, cost_saving_possible=possible)
+    return _interval(project, outcome, params)

@@ -24,7 +24,10 @@ One private kernel, ``_terms``, gives the initialized costs and the
 boundaries (``defectcost.boundaries``) all they read about an outcome: QA
 spent and unspent, each defect's escape weight and whether it was predicted.
 The 1-m and 1-1 views are n-m data with single-member defects, so no formula
-depends on the view.
+depends on the view.  ``boundaries._ends`` turns QA spent and unspent and the
+escape weight prevented and lost into the lower end, the upper end and the
+cost-saving verdict, both for ``boundary_interval`` and, as arrays over every
+grid cell, for ``defectcost.simulation.run_grid``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ ALL_KINDS: tuple[ModelKind, ...] = tuple(
 KIND_BY_CODE: dict[str, ModelKind] = {kind.code: kind for kind in ALL_KINDS}
 
 
+def _is_number(value) -> bool:
+    """An int or float (numpy's float64 included) that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Scalar parameters of the initialized cost models.
@@ -91,6 +99,11 @@ class CostParams:
     qa_mode: QAMode = QAMode.CONSTANT
 
     def __post_init__(self):
+        for name in ("c_ratio", "p_qf", "c_init", "c_exec"):
+            if not _is_number(getattr(self, name)):
+                raise InputContractError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.qa_mode, QAMode):
+            raise InputContractError(f"qa_mode must be a QAMode, got {self.qa_mode!r}")
         for name in ("c_ratio", "c_init", "c_exec"):
             if not math.isfinite(getattr(self, name)):
                 raise InputContractError(f"{name} must be finite, got {getattr(self, name)}")

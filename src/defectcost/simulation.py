@@ -36,12 +36,13 @@ and kind, with cells of equal accuracy values in grid order within each
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import ALL_KINDS, ModelKind, QAMode, _powers
+from .boundaries import _ends
+from .costs import ALL_KINDS, ModelKind, QAMode, _is_number, _powers
 from .errors import InputContractError
 from .model import (
     ConfusionMatrix,
@@ -172,6 +173,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _items(name: str, values, is_item, what: str) -> tuple:
+    """``values`` as a tuple; it must be iterable and hold only ``what``, as ``is_item`` tells."""
+    if not isinstance(values, Iterable):
+        raise InputContractError(f"{name} must be a sequence of {what}, got {values!r}")
+    values = tuple(values)
+    for value in values:
+        if not is_item(value):
+            raise InputContractError(f"{name} must hold {what}, got {value!r}")
+    return values
+
+
 def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Prediction:
     """Draw one simulated labeling at the given expected accuracy.
 
@@ -179,8 +191,8 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     label with probability ``accuracy`` and is flipped otherwise.  The result
     is fully determined by ``cell_seed``, an integer in [0, 2^64).
     """
-    if not 0.0 <= accuracy <= 1.0:
-        raise InputContractError(f"accuracy must be in [0, 1], got {accuracy}")
+    if not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
+        raise InputContractError(f"accuracy must be a number in [0, 1], got {accuracy!r}")
     if not (_is_int(cell_seed) and 0 <= cell_seed <= _MASK64):
         raise InputContractError(f"cell_seed must be an integer in [0, 2^64), got {cell_seed!r}")
     truth = project.defective_mask
@@ -202,29 +214,34 @@ class GridConfig:
     model_kinds: tuple[ModelKind, ...] = ALL_KINDS
 
     def __post_init__(self):
-        object.__setattr__(self, "accuracies", tuple(self.accuracies))
-        object.__setattr__(self, "p_qf_values", tuple(sorted(set(self.p_qf_values))))
-        object.__setattr__(
-            self, "model_kinds", tuple(sorted(set(self.model_kinds), key=lambda k: k.sort_key))
+        accuracies = _items("accuracies", self.accuracies, _is_number, "numbers")
+        p_qf_values = _items("p_qf_values", self.p_qf_values, _is_number, "numbers")
+        kinds = _items(
+            "model_kinds", self.model_kinds, lambda k: isinstance(k, ModelKind), "ModelKinds"
         )
-        if not self.accuracies:
+        if not accuracies:
             raise InputContractError("accuracies must not be empty")
-        for a in self.accuracies:
+        for a in accuracies:
             if not 0.0 <= a <= 1.0:
                 raise InputContractError(f"accuracy {a} outside [0, 1]")
         if not _is_int(self.repetitions):
             raise InputContractError(f"repetitions must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise InputContractError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not self.p_qf_values:
+        if not p_qf_values:
             raise InputContractError("p_qf_values must not be empty")
-        for p in self.p_qf_values:
+        for p in p_qf_values:
             if not 0.0 <= p < 1.0:
                 raise InputContractError(f"p_qf {p} outside [0, 1)")
         if not (_is_int(self.seed) and 0 <= self.seed <= _MASK64):
             raise InputContractError("seed must be an unsigned 64-bit integer")
-        if not self.model_kinds:
+        if not kinds:
             raise InputContractError("model_kinds must not be empty")
+        # floats, so that an integer setting is written as the parser reads it back
+        object.__setattr__(self, "accuracies", tuple(map(float, accuracies)))
+        object.__setattr__(self, "p_qf_values", tuple(sorted(set(map(float, p_qf_values)))))
+        kinds = tuple(sorted(set(kinds), key=lambda k: k.sort_key))
+        object.__setattr__(self, "model_kinds", kinds)
 
 
 @dataclass(frozen=True)
@@ -382,12 +399,6 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
     return sums, escaped
 
 
-def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """numerator / denominator, unbounded (inf) where the denominator is 0."""
-    out = np.full(np.broadcast_shapes(numerator.shape, denominator.shape), np.inf)
-    return np.divide(numerator, denominator, out=out, where=denominator != 0)
-
-
 def _canonical_rows(config: GridConfig, n_settings: int) -> tuple[np.ndarray, np.ndarray]:
     """(cell, setting) of every row, sorted by accuracy value, repetition and setting.
 
@@ -437,17 +448,14 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
         Relationship.ONE_TO_ONE: (tp[:, None] * keep, fn[:, None] * keep),
     }
     kinds = config.model_kinds
-    lower = np.empty((len(sums), len(keep), len(kinds)))
-    upper = np.empty_like(lower)
-    for k, kind in enumerate(kinds):
-        spent, unspent = qa[kind.qa_mode]
-        prevented, lost = weight[kind.relationship]
-        lower[:, :, k] = _ratio(spent[:, None], prevented)
-        upper[:, :, k] = _ratio(unspent[:, None], lost)
+    # spent and unspent (cells, 1, kinds) and prevented and lost (cells, p_qf
+    # values, kinds) stacked per kind; _ends gives each its lower, upper and verdict
+    spent, unspent = np.stack([qa[k.qa_mode] for k in kinds], axis=-1)[:, :, None]
+    prevented, lost = np.stack([weight[k.relationship] for k in kinds], axis=-1)
+    ends = _ends(spent, unspent, prevented, lost)
     settings = [(p_qf, kind) for p_qf in config.p_qf_values for kind in kinds]
     row_cell, row_setting = _canonical_rows(config, len(settings))
-    lower = lower.reshape(len(sums), -1)[row_cell, row_setting]
-    upper = upper.reshape(len(sums), -1)[row_cell, row_setting]
+    lower, upper, cost_saving = (e.reshape(len(sums), -1)[row_cell, row_setting] for e in ends)
     counts = sums[:, :2].astype(np.int64)
     tps = counts[:, 1].tolist()
     fps = (counts[:, 0] - counts[:, 1]).tolist()
@@ -468,6 +476,6 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
         "setting": row_setting.tolist(),
         "lower": lower.tolist(),
         "upper": upper.tolist(),
-        "cost_saving": (np.isfinite(lower) & (lower < upper)).tolist(),
+        "cost_saving": cost_saving.tolist(),
     }
     return RecordTable(cells, settings, rows)

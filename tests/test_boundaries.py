@@ -239,6 +239,16 @@ class TestAgainstReference:
             interval = boundary_interval(view, outcome, params, kind)
             assert interval == cost_reference.boundary_interval(view, outcome, params, kind)
 
+    def test_results_are_python_scalars(self, rng):
+        for view, outcome, params, kind in priced_cases(rng, 50):
+            interval = boundary_interval(view, outcome, params, kind)
+            assert type(interval.lower) is float and type(interval.upper) is float
+            assert type(interval.cost_saving_possible) is bool
+            assert type(lower_boundary(view, outcome, params)) is float
+            assert type(upper_boundary(view, outcome, params)) is float
+            for p_qa in (0.0, 0.5, 1.0):
+                assert type(theorem_boundary(view, outcome, p_qa, params).threshold) is float
+
 
 def _exact_terms(view, outcome, params, p_qa):
     """Exact rational (coeff, coeff scale, margin, margin scale) of the profit condition.

@@ -252,6 +252,16 @@ class TestParamValidation:
         with pytest.raises(InputContractError):
             CostParams(c_init=-1.0)
 
+    @pytest.mark.parametrize("name", ["c_ratio", "p_qf", "c_init", "c_exec"])
+    @pytest.mark.parametrize("value", ["1", None, True])
+    def test_scalars_are_numbers(self, name, value):
+        with pytest.raises(InputContractError, match=name):
+            CostParams(**{name: value})
+
+    def test_qa_mode_is_a_qa_mode(self):
+        with pytest.raises(InputContractError, match="qa_mode"):
+            CostParams(qa_mode="size")
+
     @pytest.mark.parametrize("name", ["c_ratio", "c_init", "c_exec"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_scalars_finite(self, name, value):

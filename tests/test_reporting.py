@@ -95,6 +95,11 @@ class TestEmitRecords:
         for fmt in ("csv", "json"):
             assert parse_records(emit_records(records, format=fmt), format=fmt) == records
 
+    def test_integer_settings_round_trip(self, project_e):
+        config = GridConfig(accuracies=(1,), repetitions=2, p_qf_values=(0,), seed=4)
+        text = emit_records(run_grid(project_e, config))
+        assert emit_records(parse_records(text)) == text
+
     def test_unknown_format(self):
         with pytest.raises(InputContractError):
             emit_records([record()], format="xml")
