@@ -105,8 +105,13 @@ class CostParams:
         if not isinstance(self.qa_mode, QAMode):
             raise InputContractError(f"qa_mode must be a QAMode, got {self.qa_mode!r}")
         for name in ("c_ratio", "c_init", "c_exec"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputContractError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite, value = False, "an integer too large for a float"
+            if not finite:
+                raise InputContractError(f"{name} must be finite, got {value}")
         if not self.c_ratio > 0:
             raise InputContractError(f"c_ratio must be positive, got {self.c_ratio}")
         if not 0.0 <= self.p_qf < 1.0:
@@ -144,7 +149,7 @@ def qa_cost_vector(project: Project, qa_mode: QAMode) -> np.ndarray:
     """Per-artifact QA cost in stored order: all ones, or the artifact sizes."""
     if qa_mode is QAMode.SIZE_AWARE:
         return project.sizes.astype(np.float64)
-    return np.ones(len(project.artifacts), dtype=np.float64)
+    return np.ones(len(project.sizes), dtype=np.float64)
 
 
 def induced_inputs(project: Project, params: CostParams) -> GeneralCostInputs:
@@ -218,15 +223,23 @@ def _terms(project: Project, outcome: OutcomeSummary, params: CostParams) -> _Te
     """The kernel.
 
     QA costs are whole numbers (ones or sizes), so the QA sums are exact in
-    any order while the project's total QA cost is below 2^53."""
-    index = project.artifact_index
-    predicted = outcome.predicted_artifacts
-    picked = np.zeros(len(project.artifacts), dtype=bool)
-    picked[np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))] = True
+    any order: a project's total size is at most 2^53.  An outcome that
+    ``classify`` made on a project with these artifacts gives its mask of
+    predicted artifacts as is, and made on this project also its defect-hit
+    mask; any other outcome is mapped through the ids."""
+    source = outcome._project
+    if source is not None and source._file_ids is project._file_ids:
+        picked = outcome._picked
+    else:
+        index = project.artifact_index
+        predicted = outcome.predicted_artifacts
+        picked = np.zeros(len(project.sizes), dtype=bool)
+        picked[np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))] = True
     qa = qa_cost_vector(project, params.qa_mode)
     weight = _powers(1.0 - params.p_qf, project.defect_cardinalities)
     spent, unspent = float(qa[picked].sum()), float(qa[~picked].sum())
-    return _Terms(spent, unspent, weight, _defects_hit(project, picked))
+    hit = outcome._hit if source is project else _defects_hit(project, picked)
+    return _Terms(spent, unspent, weight, hit)
 
 
 def cost_init(project: Project, outcome: OutcomeSummary, params: CostParams, kind: ModelKind) -> float:

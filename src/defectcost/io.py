@@ -12,13 +12,18 @@ Row order gives the artifact order, column order the defect order, and every
 cell states whether the file belongs to the defect.  Prediction CSV is a
 two-column ``file,label`` table with one row per artifact.
 
-``parse_matrix`` reads a row as three strings: the id, the size and all its
+Both parsers check a file as a few whole strings and build arrays, not
+``Artifact`` and ``Defect`` objects (see ``defectcost.model``).
+``parse_matrix`` splits each row once, into its id, its size and all its
 cells.  With k defect columns the cells are valid exactly when, with every
-``1`` read as ``0``, they equal ``0,0,...,0`` (k zeros); the 1s are then
-found with ``str.find``, cell j at position 2j, so Python code runs once
-per row and once per 1, never once per cell.  Only a row that fails this comparison is looked at field by field,
-which gives the first error of the file with the message, line and column
-a cell-by-cell reader would give.  ``parse_prediction`` likewise builds its
+``1`` read as ``0``, they equal ``0,0,...,0`` (k zeros), so the cells of all
+rows, each followed by a line break, are compared with one blank template,
+and the 1s are found in that string with ``str.find``, so Python code runs
+once per 1, never once per row or cell.  The sizes are checked with one
+joined ``isdigit`` and converted in one call, and the ids for duplicates by
+the size of their set.  Only a file that fails these checks is read again
+row by row, which gives its first error with the message, line and column a
+cell-by-cell reader would give.  ``parse_prediction`` likewise builds its
 labels from all rows at once, checks them with set operations, and reads the
 rows one at a time only to locate an error.
 """
@@ -26,12 +31,12 @@ rows one at a time only to locate an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import InputContractError, ParseError
-from .model import Artifact, Defect, Prediction, Project, Relationship
+from .model import _MAX_TOTAL_SIZE, Prediction, Project, Relationship
 
 _UNWRITABLE = frozenset(",\n\r")  # the field and line separators
 _LABELS = {"0": 0, "1": 1}
@@ -58,8 +63,9 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     """Parse a defect matrix into an n-m project.
 
     Rejects duplicate file ids, non-binary cells, sizes that are not ASCII
-    ``[1-9][0-9]*``, ragged rows, and defect columns that touch no file; every
-    rejection names the line and column."""
+    ``[1-9][0-9]*``, a size that takes the total size above 2^53, ragged rows,
+    and defect columns that touch no file; every rejection names the line and
+    column."""
     lines = _split_lines(text)
     if not lines:
         raise ParseError("missing header", line=1)
@@ -78,59 +84,113 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
         if defect_id in seen_defects:
             raise ParseError(f"duplicate defect id {defect_id!r}", line=1, column=3 + j)
         seen_defects.add(defect_id)
-    width = 2 + len(defect_ids)
+    k = len(defect_ids)
+    blank = ",".join("0" * k)  # the only valid cells string, 1s read as 0s
+    rows = lines[1:]
+    read = _read_rows(rows, min(2 + k, 3), blank, "\r" in text)
+    if read is None:
+        raise _row_error(rows, 2 + k, blank)
+    file_ids, sizes, ones = read
+    row, column = np.divmod(ones, 2 * k)  # a row of cells is 2k - 1 characters and a \n
+    column >>= 1  # cell j sits at position 2j
+    counts = np.bincount(column, minlength=k)
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        j = int(empty[0])
+        raise ParseError(f"defect {defect_ids[j]!r} affects no file", line=1, column=3 + j)
+    starts = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return Project._from_arrays(
+        project_id,
+        Relationship.N_TO_M,
+        file_ids,
+        sizes,
+        row[np.argsort(column, kind="stable")],
+        starts,
+        _defect_ids=tuple(defect_ids),
+    )
+
+
+def _read_rows(rows: list[str], parts: int, blank: str, carriage_return: bool):
+    """The file ids, the int64 sizes and the positions of the 1s in the cells
+    of all rows, each followed by a line break; None if a row is invalid or
+    the sizes sum to more than 2^53.
+
+    ``parts`` is 3 (id, size, cells) with defect columns and 2 without; only a
+    file id can hold a carriage return, and only if the text does."""
+    fields = list(map(str.split, rows, repeat(","), repeat(2)))
+    if not set(map(len, fields)) <= {parts}:
+        return None
+    file_ids, sizes, *cells = zip(*fields) if fields else [()] * parts
+    if (
+        len(set(file_ids)) < len(file_ids)
+        or "" in file_ids
+        or (carriage_return and "\r" in "".join(file_ids))
+    ):
+        return None
+    digits = "".join(sizes)
+    # all digits, and the least size is neither empty nor led by a 0
+    if sizes and not (digits.isascii() and digits.isdigit() and min(sizes)[:1] > "0"):
+        return None
+    values = np.fromstring(",".join(sizes), dtype=np.int64, sep=",")
+    # a size past int64 reads as 2^63 - 1; with every size at most 2^53 the
+    # running total cannot wrap before it first passes 2^53
+    if values.max(initial=0) > _MAX_TOTAL_SIZE or (np.cumsum(values) > _MAX_TOTAL_SIZE).any():
+        return None
+    if not cells:
+        return file_ids, values, np.zeros(0, dtype=np.int64)
+    joined = "\n".join([*cells[0], ""])  # row r's cells start at r * (len(blank) + 1)
+    if joined.replace("1", "0") != (blank + "\n") * len(rows):
+        return None
+    ones = []
+    at = joined.find("1")
+    while at >= 0:
+        ones.append(at)
+        at = joined.find("1", at + 2)
+    return file_ids, values, np.array(ones, dtype=np.int64)
+
+
+def _row_error(rows: list[str], width: int, blank: str) -> ParseError:
+    """The first error in rows that ``_read_rows`` refused, read field by field."""
     parts = min(width, 3)  # id, size and, with defect columns, the cells string
-    blank = ",".join("0" * len(defect_ids))  # the only valid cells string, 1s read as 0s
-    artifacts: list[Artifact] = []
     seen_files: set[str] = set()
-    members: list[list[str]] = [[] for _ in defect_ids]
-    carriage_return = "\r" in text  # only then can a file id hold one
-    for row_number, line in enumerate(lines[1:], start=2):
+    total = 0
+    for row_number, line in enumerate(rows, start=2):
         fields = line.split(",", 2)
         cells = fields[2] if len(fields) == 3 else ""
         valid = len(fields) == parts and cells.replace("1", "0") == blank
         if not valid and line.count(",") != width - 1:
             found = line.count(",") + 1
-            raise ParseError(
+            return ParseError(
                 f"expected {width} fields, found {found}", line=row_number, column=found
             )
         file_id = fields[0]
         if file_id == "":
-            raise ParseError("empty file id", line=row_number, column=1)
-        if carriage_return and "\r" in file_id:
-            raise ParseError(
+            return ParseError("empty file id", line=row_number, column=1)
+        if "\r" in file_id:
+            return ParseError(
                 f"file id {file_id!r} holds a carriage return", line=row_number, column=1
             )
         if file_id in seen_files:
-            raise ParseError(f"duplicate file id {file_id!r}", line=row_number, column=1)
+            return ParseError(f"duplicate file id {file_id!r}", line=row_number, column=1)
         seen_files.add(file_id)
         size = fields[1]
         if not (size.isascii() and size.isdigit() and size[0] != "0"):
-            raise ParseError(
+            return ParseError(
                 f"size {size!r} is not an integer >= 1 in plain digits",
                 line=row_number,
                 column=2,
             )
-        if not valid:
-            raise _cell_error(cells, row_number)
-        artifacts.append(Artifact(id=file_id, size=int(size)))
-        at = cells.find("1")
-        while at >= 0:
-            members[at >> 1].append(file_id)  # cell j sits at position 2j
-            at = cells.find("1", at + 2)
-    defects = []
-    for j, (defect_id, files) in enumerate(zip(defect_ids, members)):
-        if not files:
-            raise ParseError(
-                f"defect {defect_id!r} affects no file", line=1, column=3 + j
+        # a size of 17 digits or more is above 2^53 on its own, and int() of
+        # a very long string raises
+        total += int(size) if len(size) <= 16 else _MAX_TOTAL_SIZE + 1
+        if total > _MAX_TOTAL_SIZE:
+            return ParseError(
+                f"size {size!r} takes the total size above 2^53", line=row_number, column=2
             )
-        defects.append(Defect(id=defect_id, members=frozenset(files)))
-    return Project(
-        id=project_id,
-        artifacts=tuple(artifacts),
-        defects=tuple(defects),
-        relationship=Relationship.N_TO_M,
-    )
+        if not valid:
+            return _cell_error(cells, row_number)
+    raise AssertionError("_row_error called on valid rows")
 
 
 def format_matrix(project: Project) -> str:
@@ -138,21 +198,22 @@ def format_matrix(project: Project) -> str:
 
     Raises ``InputContractError`` for an artifact or defect id the format
     cannot hold: an empty one, or one with a comma or a line break."""
-    for item_id in [*(d.id for d in project.defects), *(a.id for a in project.artifacts)]:
+    file_ids, defect_ids = project._file_ids, project._defect_ids
+    for item_id in chain(defect_ids, file_ids):
         if not item_id or not _UNWRITABLE.isdisjoint(item_id):
             raise InputContractError(f"id {item_id!r} cannot be written to matrix CSV")
-    out = [",".join(["file", "loc"] + [d.id for d in project.defects])]
-    k = len(project.defects)
-    hits: list[list[int]] = [[] for _ in project.artifacts]  # defect positions per artifact
+    out = [",".join(["file", "loc", *defect_ids])]
+    k = len(defect_ids)
+    hits: list[list[int]] = [[] for _ in file_ids]  # defect positions per artifact
     defect_of = np.repeat(np.arange(k), project.defect_cardinalities)
     for i, j in zip(project._member_csr[0].tolist(), defect_of.tolist()):
         hits[i].append(j)
     template = ["0"] * k
-    for a, row_hits in zip(project.artifacts, hits):
+    for file_id, size, row_hits in zip(file_ids, project.sizes.tolist(), hits):
         cells = template.copy()
         for j in row_hits:
             cells[j] = "1"
-        out.append(",".join([a.id, str(a.size), *cells]))
+        out.append(",".join([file_id, str(size), *cells]))
     return "\n".join(out) + "\n"
 
 
@@ -166,9 +227,10 @@ def parse_prediction(text: str, project: Project) -> Prediction:
         labels = dict(map(str.split, rows, repeat(",")))
     except ValueError:  # a row without exactly two fields
         labels = {}
+    file_ids = project._file_ids
     if not (
-        len(labels) == len(rows)  # no id twice
-        and labels.keys() == project.artifact_index.keys()
+        len(labels) == len(rows) == len(file_ids)  # no id twice, and as many as files
+        and all(map(labels.__contains__, file_ids))
         and _LABELS.keys() >= set(labels.values())
     ):
         labels = _labels_by_row(rows, project)
@@ -193,9 +255,9 @@ def _labels_by_row(rows: list[str], project: Project) -> dict[str, str]:
         if label not in _LABELS:
             raise ParseError(f"label must be 0 or 1, got {label!r}", line=row_number, column=2)
         labels[file_id] = label
-    for a in project.artifacts:
-        if a.id not in labels:
-            raise ParseError(f"unlabeled artifact {a.id!r}")
+    for file_id in project._file_ids:
+        if file_id not in labels:
+            raise ParseError(f"unlabeled artifact {file_id!r}")
     return labels
 
 
@@ -217,13 +279,13 @@ class SummaryStats:
 
 def summarize(project: Project) -> SummaryStats:
     """Project-level aggregates: counts, mean defect spread, mean file size."""
-    n_artifacts = len(project.artifacts)
-    n_defects = len(project.defects)
-    member_total = sum(len(d.members) for d in project.defects)
+    n_artifacts = len(project.sizes)
+    cardinalities = project.defect_cardinalities
+    n_defects = len(cardinalities)
     return SummaryStats(
         n_artifacts=n_artifacts,
-        n_defective=int(project.defective_mask.sum()) if n_artifacts else 0,
+        n_defective=int(np.count_nonzero(project.defective_mask)),
         n_defects=n_defects,
-        mean_members=member_total / n_defects if n_defects else 0.0,
-        mean_size=sum(a.size for a in project.artifacts) / n_artifacts if n_artifacts else 0.0,
+        mean_members=int(cardinalities.sum()) / n_defects if n_defects else 0.0,
+        mean_size=int(project.sizes.sum()) / n_artifacts if n_artifacts else 0.0,
     )

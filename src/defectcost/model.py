@@ -5,19 +5,36 @@ post-release defects.  A defect belongs to one or more artifacts, so in
 general the incidence between defects and artifacts is n-to-m.  A prediction
 assigns a binary defective/clean label to every artifact; a defect counts as
 predicted only when *all* of its artifacts are labeled defective.
+
+Arrays are the source of truth.  Every ``Project`` holds its file ids
+``_file_ids``, its int64 ``sizes``, its defect ids ``_defect_ids``, the member
+incidence ``_member_csr = (indices, starts)`` (defect j's members are the
+artifact positions ``indices[starts[j]:starts[j + 1]]``, ascending) and
+``defective_mask``, all read-only.  ``Project(...)`` checks its artifacts and
+defects and derives these arrays; ``parse_matrix``, ``project_view`` and the
+synthetic generators build a project from the arrays alone with
+``Project._from_arrays``, and its ``artifacts``, ``defects`` and
+``artifact_index``, and a view's derived defect ids, are built on first access.
+Likewise ``classify`` returns an ``OutcomeSummary`` that holds the
+predicted-artifact and defect-hit masks and builds its three id sets on first
+access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, repeat
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InputContractError
+
+# QA sums of whole-number costs stay exact in float64 while a project's total
+# size is at most this.
+_MAX_TOTAL_SIZE = 2**53
 
 
 class Relationship(Enum):
@@ -58,6 +75,19 @@ class Defect:
             raise InputContractError(f"defect {self.id!r} has no members")
 
 
+def _check_total_size(project_id: str, total: int) -> None:
+    if total > _MAX_TOTAL_SIZE:
+        raise InputContractError(f"project {project_id!r} has a total size above 2^53")
+
+
+def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Member ``(indices, starts)`` from each defect's list of artifact positions."""
+    return (
+        np.array(list(chain.from_iterable(rows)), dtype=np.int64),
+        np.cumsum([0, *map(len, rows)], dtype=np.int64),
+    )
+
+
 @dataclass(frozen=True)
 class Project:
     """An immutable artifact list plus defect incidence, tagged with its view.
@@ -67,7 +97,11 @@ class Project:
     * artifact ids and defect ids are unique,
     * every defect member refers to an existing artifact,
     * in a 1-to-m or 1-to-1 view every defect has exactly one member,
-    * in a 1-to-1 view no artifact appears in more than one defect.
+    * in a 1-to-1 view no artifact appears in more than one defect,
+    * the artifact sizes sum to at most 2^53.
+
+    The module docstring lists the arrays every project holds; a project built
+    from them alone builds ``artifacts`` and ``defects`` when first read.
     """
 
     id: str
@@ -78,17 +112,17 @@ class Project:
     def __post_init__(self):
         object.__setattr__(self, "artifacts", tuple(self.artifacts))
         object.__setattr__(self, "defects", tuple(self.defects))
-        known: set[str] = set()
+        index: dict[str, int] = {}
         for a in self.artifacts:
-            if a.id in known:
+            if a.id in index:
                 raise InputContractError(f"duplicate artifact id {a.id!r} in project {self.id!r}")
-            known.add(a.id)
+            index[a.id] = len(index)
         defect_ids = set()
         for d in self.defects:
             if d.id in defect_ids:
                 raise InputContractError(f"duplicate defect id {d.id!r} in project {self.id!r}")
             defect_ids.add(d.id)
-            missing = d.members - known
+            missing = d.members - index.keys()
             if missing:
                 raise InputContractError(
                     f"defect {d.id!r} references unknown artifact {sorted(missing)[0]!r}"
@@ -110,51 +144,73 @@ class Project:
                         "in a 1-1 view"
                     )
                 used.add(member)
+        _check_total_size(self.id, sum(a.size for a in self.artifacts))
+        arrays = Project._from_arrays(
+            self.id,
+            self.relationship,
+            tuple(index),
+            np.array([a.size for a in self.artifacts], dtype=np.int64),
+            *_csr([sorted(map(index.__getitem__, d.members)) for d in self.defects]),
+            _defect_ids=tuple(d.id for d in self.defects),
+            artifact_index=index,
+        )
+        self.__dict__.update(vars(arrays))  # the arrays, as an array-built project holds them
+
+    @classmethod
+    def _from_arrays(cls, id, relationship, file_ids, sizes, indices, starts, **known) -> Project:
+        """A project from its arrays alone; the caller guarantees every invariant.
+
+        ``known`` holds whatever else the caller has at hand: ``_defect_ids``
+        (a 1-m or 1-1 view passes ``_source``, the n-m project it is derived
+        from, instead), ``defective_mask`` and ``artifact_index``."""
+        if "defective_mask" not in known:
+            known["defective_mask"] = np.zeros(len(sizes), dtype=bool)
+            known["defective_mask"][indices] = True
+        for array in (sizes, indices, starts, known["defective_mask"]):
+            array.flags.writeable = False  # views share them
+        project = object.__new__(cls)
+        project.__dict__.update(
+            id=id,
+            relationship=relationship,
+            _file_ids=file_ids,
+            sizes=sizes,
+            _member_csr=(indices, starts),
+            **known,
+        )
+        return project
+
+    def __getattr__(self, name):
+        """Build ``artifacts``, ``defects`` or a view's derived defect ids on first access."""
+        if name == "artifacts":
+            value = tuple(map(Artifact, self._file_ids, self.sizes.tolist()))
+        elif name == "defects":
+            members = list(map(self._file_ids.__getitem__, self._member_csr[0].tolist()))
+            starts = self._member_csr[1].tolist()
+            value = tuple(
+                Defect(defect_id, frozenset(members[start:stop]))
+                for defect_id, start, stop in zip(self._defect_ids, starts, starts[1:])
+            )
+        elif name == "_defect_ids" and "_source" in self.__dict__:
+            members = map(self._file_ids.__getitem__, self._member_csr[0].tolist())
+            if self.relationship is Relationship.ONE_TO_ONE:
+                value = tuple(members)
+            else:  # "<defect-id>#<artifact-id>" per (defect, member) pair of the source
+                source = self._source
+                owners = map(repeat, source._defect_ids, source.defect_cardinalities.tolist())
+                value = tuple(map("{}#{}".format, chain.from_iterable(owners), members))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = value
+        return value
 
     @cached_property
     def artifact_index(self) -> dict[str, int]:
-        return {a.id: i for i, a in enumerate(self.artifacts)}
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """Artifact sizes in stored order, as an int64 vector."""
-        return np.array([a.size for a in self.artifacts], dtype=np.int64)
-
-    @cached_property
-    def defective_mask(self) -> np.ndarray:
-        """Boolean vector marking artifacts that belong to at least one defect."""
-        mask = np.zeros(len(self.artifacts), dtype=bool)
-        index = self.artifact_index
-        for d in self.defects:
-            for member in d.members:
-                mask[index[member]] = True
-        return mask
+        return dict(zip(self._file_ids, range(len(self._file_ids))))
 
     @cached_property
     def defect_cardinalities(self) -> np.ndarray:
         """Number of member artifacts per defect, in stored defect order."""
         return np.diff(self._member_csr[1])
-
-    @cached_property
-    def _member_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened member artifact indices plus segment starts, one segment per defect.
-
-        Members within a defect are ordered by artifact position so that all
-        derived structures are deterministic.
-        """
-        index = self.artifact_index
-        indices: list[int] = []
-        starts = np.zeros(len(self.defects) + 1, dtype=np.int64)
-        for i, d in enumerate(self.defects):
-            rows = sorted(index[m] for m in d.members)
-            indices.extend(rows)
-            starts[i + 1] = len(indices)
-        return np.array(indices, dtype=np.int64), starts
-
-    def ordered_members(self, defect: Defect) -> list[str]:
-        """Members of ``defect`` sorted by artifact position in this project."""
-        index = self.artifact_index
-        return sorted(defect.members, key=index.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -198,6 +254,11 @@ class OutcomeSummary:
     ``predicted_artifacts`` holds the ids labeled defective; it is required
     because quality-assurance costs accrue per predicted artifact, which the
     confusion matrix alone cannot recover when costs vary by artifact.
+
+    An outcome from ``classify`` holds the project it was classified on as
+    ``_project``, and the boolean masks ``_picked`` (per artifact: labeled
+    defective) and ``_hit`` (per defect: predicted); it builds its three id
+    sets from them on first access.
     """
 
     cm: ConfusionMatrix
@@ -205,35 +266,45 @@ class OutcomeSummary:
     missed_defects: frozenset[str]
     predicted_artifacts: frozenset[str]
 
+    _project = None  # not a field: set only by classify
+
+    def __getattr__(self, name):
+        """Build an id set from the masks on first access."""
+        project = self._project
+        if project is None or name not in (
+            "predicted_defects", "missed_defects", "predicted_artifacts"
+        ):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if name == "predicted_artifacts":
+            value = frozenset(compress(project._file_ids, self._picked.tolist()))
+        elif name == "predicted_defects":
+            value = frozenset(compress(project._defect_ids, self._hit.tolist()))
+        else:  # built as classify always built it, so that it iterates in the same order
+            value = frozenset(project._defect_ids) - self.predicted_defects
+        self.__dict__[name] = value
+        return value
+
 
 def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
     labels = prediction.labels
+    file_ids = project._file_ids
+    if len(labels) == len(file_ids):
+        try:
+            return np.fromiter(map(labels.__getitem__, file_ids), np.int8, len(file_ids))
+        except KeyError:
+            pass  # then some label names an unknown artifact
     extra = labels.keys() - project.artifact_index.keys()
     if extra:
         raise InputContractError(f"unknown artifact {sorted(extra)[0]!r} in prediction")
-    try:
-        return np.fromiter(map(labels.__getitem__, project.artifact_index), np.int8)
-    except KeyError as missing:
-        raise InputContractError(f"unlabeled artifact {missing.args[0]!r}") from None
-
-
-def _classify_labels(project: Project, labels: np.ndarray) -> tuple[ConfusionMatrix, np.ndarray]:
-    """Confusion matrix plus per-defect predicted mask for a 0/1 label vector."""
-    truth = project.defective_mask
-    predicted = labels.astype(bool)
-    tp = int(np.count_nonzero(truth & predicted))
-    fp = int(np.count_nonzero(~truth & predicted))
-    tn = int(np.count_nonzero(~truth & ~predicted))
-    fn = int(np.count_nonzero(truth & ~predicted))
-    cm = ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-    return cm, _defects_hit(project, predicted)
+    missing = next(file_id for file_id in file_ids if file_id not in labels)
+    raise InputContractError(f"unlabeled artifact {missing!r}")
 
 
 def _defects_hit(project: Project, predicted: np.ndarray) -> np.ndarray:
     """Per defect: are all its artifacts marked in the boolean artifact mask ``predicted``?"""
-    if not project.defects:
-        return np.zeros(0, dtype=bool)
     indices, starts = project._member_csr
+    if len(starts) == 1:
+        return np.zeros(0, dtype=bool)
     return np.minimum.reduceat(predicted[indices], starts[:-1])
 
 
@@ -244,17 +315,19 @@ def classify(project: Project, prediction: Prediction) -> OutcomeSummary:
     defective; otherwise it is missed.  The prediction must label exactly the
     project's artifacts.
     """
-    labels = _label_vector(project, prediction)
-    cm, predicted_mask = _classify_labels(project, labels)
-    predicted = frozenset(d.id for d, hit in zip(project.defects, predicted_mask) if hit)
-    missed = frozenset(d.id for d in project.defects) - predicted
-    predicted_artifacts = frozenset(compress(project.artifact_index, labels.tolist()))
-    return OutcomeSummary(
-        cm=cm,
-        predicted_defects=predicted,
-        missed_defects=missed,
-        predicted_artifacts=predicted_artifacts,
+    picked = _label_vector(project, prediction).astype(bool)
+    truth = project.defective_mask
+    cm = ConfusionMatrix(
+        tp=int(np.count_nonzero(truth & picked)),
+        fp=int(np.count_nonzero(~truth & picked)),
+        tn=int(np.count_nonzero(~truth & ~picked)),
+        fn=int(np.count_nonzero(truth & ~picked)),
     )
+    outcome = object.__new__(OutcomeSummary)
+    outcome.__dict__.update(
+        cm=cm, _project=project, _picked=picked, _hit=_defects_hit(project, picked)
+    )
+    return outcome
 
 
 def project_view(project: Project, target: Relationship) -> Project:
@@ -267,7 +340,9 @@ def project_view(project: Project, target: Relationship) -> Project:
     * ``ONE_TO_ONE``: one single-member defect per defective artifact, i.e. a
       plain binary labeling; the derived defect id is the artifact id.
 
-    Artifacts and sizes are untouched in every view.
+    Artifacts and sizes are untouched in every view.  A view shares the
+    project's arrays; only its member incidence is new, and its defect ids are
+    derived when first read.
     """
     if project.relationship is not Relationship.N_TO_M:
         raise InputContractError(
@@ -276,19 +351,20 @@ def project_view(project: Project, target: Relationship) -> Project:
     if target is Relationship.N_TO_M:
         return project
     if target is Relationship.ONE_TO_M:
-        defects = tuple(
-            Defect(id=f"{d.id}#{member}", members=frozenset((member,)))
-            for d in project.defects
-            for member in project.ordered_members(d)
-        )
+        indices = project._member_csr[0]
     else:
-        mask = project.defective_mask
-        defects = tuple(
-            Defect(id=a.id, members=frozenset((a.id,)))
-            for a, defective in zip(project.artifacts, mask)
-            if defective
-        )
-    return replace(project, defects=defects, relationship=target)
+        indices = np.flatnonzero(project.defective_mask)
+    starts = np.arange(len(indices) + 1, dtype=np.int64)
+    return Project._from_arrays(
+        project.id,
+        target,
+        project._file_ids,
+        project.sizes,
+        indices,
+        starts,
+        defective_mask=project.defective_mask,
+        _source=project,
+    )
 
 
 def precision(cm: ConfusionMatrix) -> float | None:
@@ -310,11 +386,9 @@ def recall(cm: ConfusionMatrix) -> float | None:
 def perfect_prediction(project: Project) -> Prediction:
     """The indicator labeling of the defective artifacts."""
     mask = project.defective_mask
-    return Prediction(
-        labels={a.id: int(m) for a, m in zip(project.artifacts, mask)}
-    )
+    return Prediction(labels=dict(zip(project._file_ids, map(int, mask.tolist()))))
 
 
 def constant_prediction(project: Project, label: int) -> Prediction:
     """Label every artifact with the same value (predict nothing or everything)."""
-    return Prediction(labels={a.id: label for a in project.artifacts})
+    return Prediction(labels=dict.fromkeys(project._file_ids, label))

@@ -200,7 +200,7 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     labels = _simulate_labels(
         truth, np.array([accuracy]), generator, np.empty((1, len(truth)))
     )[0].astype(np.int8)
-    return Prediction(labels=dict(zip((a.id for a in project.artifacts), labels.tolist())))
+    return Prediction(labels=dict(zip(project._file_ids, labels.tolist())))
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,7 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
     predicted and the missed defects.  Label rows are stacked into blocks and
     reduced with matrix products; the integer sums are exact in float64.
     """
-    n = len(project.artifacts)
+    n = len(project.sizes)
     truth = project.defective_mask
     indices, starts = project._member_csr
     columns = np.column_stack(
@@ -427,7 +427,7 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     if project.relationship is not Relationship.N_TO_M:
         raise InputContractError("run_grid expects the full n-m project")
     sums, escaped = _cell_sums(project, config)
-    n = len(project.artifacts)
+    n = len(project.sizes)
     n_defective = int(np.count_nonzero(project.defective_mask))
     predicted, tp, predicted_size, predicted_pairs = sums.T
     fn = n_defective - tp

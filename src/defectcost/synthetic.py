@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputContractError
-from .model import Artifact, Defect, Prediction, Project, Relationship
+from .model import Prediction, Project, Relationship, _check_total_size, _csr
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,12 @@ def project_from_aggregates(
             f"{total_slots} member slots cannot cover {spec.n_defects} defects "
             f"and {spec.n_defective} defective files"
         )
-    sizes = _sizes_with_total(rng, spec.n_artifacts, int(round(spec.mean_size * spec.n_artifacts)))
-    artifacts = tuple(
-        Artifact(id=f"{spec.name}/f{i:04d}", size=int(s)) for i, s in enumerate(sizes)
-    )
+    total_size = int(round(spec.mean_size * spec.n_artifacts))
+    _check_total_size(spec.name, total_size)
+    sizes = _sizes_with_total(rng, spec.n_artifacts, total_size)
+    file_ids = tuple(f"{spec.name}/f{i:04d}" for i in range(spec.n_artifacts))
     defective = rng.permutation(spec.n_artifacts)[: spec.n_defective]
-    defective_ids = [artifacts[i].id for i in defective]
+    defective_ids = [file_ids[i] for i in defective]
 
     # one slot per defect first, then spread the remaining slots at random,
     # capped so no defect can exceed the defective population
@@ -114,15 +114,15 @@ def project_from_aggregates(
                 pool = np.array(sorted(set(defective_ids) - members[j]), dtype=object)
                 for artifact_id in rng.choice(pool, size=missing, replace=False):
                     members[j].add(str(artifact_id))
-    defects = tuple(
-        Defect(id=f"{spec.name}-d{j:04d}", members=frozenset(m))
-        for j, m in enumerate(members)
-    )
-    return Project(
-        id=spec.name,
-        artifacts=artifacts,
-        defects=defects,
-        relationship=Relationship.N_TO_M,
+    index = dict(zip(file_ids, range(spec.n_artifacts)))
+    return Project._from_arrays(
+        spec.name,
+        Relationship.N_TO_M,
+        file_ids,
+        sizes,
+        *_csr([sorted(map(index.__getitem__, m)) for m in members]),
+        _defect_ids=tuple(f"{spec.name}-d{j:04d}" for j in range(spec.n_defects)),
+        artifact_index=index,
     )
 
 
@@ -141,27 +141,24 @@ def random_project(
 ) -> Project:
     """A small random n-m project for property and consistency tests."""
     n = int(rng.integers(1, max_artifacts + 1))
-    artifacts = tuple(
-        Artifact(id=f"{name}/f{i}", size=int(s))
-        for i, s in enumerate(rng.integers(1, max_size + 1, size=n))
-    )
+    sizes = rng.integers(1, max_size + 1, size=n)
+    _check_total_size(name, sum(sizes.tolist()))
     n_defects = int(rng.integers(0, max_defects + 1))
-    defects = []
-    for j in range(n_defects):
+    rows = []
+    for _ in range(n_defects):
         k = int(min(rng.geometric(0.45), n))
-        chosen = rng.choice(n, size=k, replace=False)
-        defects.append(
-            Defect(id=f"{name}/d{j}", members=frozenset(artifacts[i].id for i in chosen))
-        )
-    return Project(
-        id=name,
-        artifacts=artifacts,
-        defects=tuple(defects),
-        relationship=Relationship.N_TO_M,
+        rows.append(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    return Project._from_arrays(
+        name,
+        Relationship.N_TO_M,
+        tuple(f"{name}/f{i}" for i in range(n)),
+        sizes,
+        *_csr(rows),
+        _defect_ids=tuple(f"{name}/d{j}" for j in range(n_defects)),
     )
 
 
 def random_prediction(project: Project, rng: np.random.Generator) -> Prediction:
     """A uniformly random labeling of the project's artifacts."""
-    labels = rng.integers(0, 2, size=len(project.artifacts))
-    return Prediction(labels={a.id: int(v) for a, v in zip(project.artifacts, labels)})
+    labels = rng.integers(0, 2, size=len(project.sizes))
+    return Prediction(labels=dict(zip(project._file_ids, labels.tolist())))

@@ -1,16 +1,21 @@
 """The per-cell matrix parser and per-row prediction parser that ``io`` replaced,
-kept as their reference, with the per-cell ``format_matrix`` and the per-artifact
-``classify``.
+kept as their reference, with the per-cell ``format_matrix`` and the
+object-building ``project_view`` and ``classify`` that ``model`` replaced.
 
 ``parse_matrix`` splits every row into all its fields and checks the cells
 one at a time; ``parse_prediction`` checks every row as it inserts it;
-``format_matrix`` tests each artifact against every defect's member set.
+``format_matrix`` tests each artifact against every defect's member set;
+``project_view`` builds a ``Defect`` per derived defect and ``classify`` a
+frozenset of ids per outcome, from the ``artifacts`` and ``defects`` objects.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from defectcost import (
     Artifact,
+    ConfusionMatrix,
     Defect,
     InputContractError,
     OutcomeSummary,
@@ -19,7 +24,6 @@ from defectcost import (
     Project,
     Relationship,
 )
-from defectcost.model import _classify_labels
 
 _UNWRITABLE = frozenset(",\n\r")
 
@@ -54,6 +58,7 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     artifacts: list[Artifact] = []
     seen_files: set[str] = set()
     members: list[list[str]] = [[] for _ in defect_ids]
+    total = 0
     for row_number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != len(header):
@@ -78,6 +83,11 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
                 f"size {size!r} is not an integer >= 1 in plain digits",
                 line=row_number,
                 column=2,
+            )
+        total += int(size) if len(size) <= 16 else 2**53 + 1
+        if total > 2**53:
+            raise ParseError(
+                f"size {size!r} takes the total size above 2^53", line=row_number, column=2
             )
         artifacts.append(Artifact(id=file_id, size=int(size)))
         for j, cell in enumerate(fields[2:]):
@@ -118,7 +128,7 @@ def parse_prediction(text: str, project: Project) -> Prediction:
     lines = _split_lines(text)
     if not lines or lines[0].split(",") != ["file", "label"]:
         raise ParseError("header must be 'file,label'", line=1, column=1)
-    known = project.artifact_index
+    known = {a.id for a in project.artifacts}
     labels: dict[str, int] = {}
     for row_number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -142,7 +152,7 @@ def parse_prediction(text: str, project: Project) -> Prediction:
 
 def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
     labels = prediction.labels
-    extra = labels.keys() - project.artifact_index.keys()
+    extra = labels.keys() - {a.id for a in project.artifacts}
     if extra:
         raise InputContractError(f"unknown artifact {sorted(extra)[0]!r} in prediction")
     out = np.empty(len(project.artifacts), dtype=np.int8)
@@ -156,15 +166,45 @@ def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
 
 def classify(project: Project, prediction: Prediction) -> OutcomeSummary:
     labels = _label_vector(project, prediction)
-    cm, predicted_mask = _classify_labels(project, labels)
-    predicted = frozenset(d.id for d, hit in zip(project.defects, predicted_mask) if hit)
-    missed = frozenset(d.id for d in project.defects) - predicted
-    predicted_artifacts = frozenset(
-        a.id for a, lab in zip(project.artifacts, labels) if lab == 1
+    ids = [a.id for a in project.artifacts]
+    picked = frozenset(a for a, lab in zip(ids, labels) if lab == 1)
+    defective = frozenset(member for d in project.defects for member in d.members)
+    clean = frozenset(ids) - defective
+    cm = ConfusionMatrix(
+        tp=len(picked & defective),
+        fp=len(picked & clean),
+        tn=len(clean - picked),
+        fn=len(defective - picked),
     )
+    predicted = frozenset(d.id for d in project.defects if d.members <= picked)
+    missed = frozenset(d.id for d in project.defects) - predicted
     return OutcomeSummary(
         cm=cm,
         predicted_defects=predicted,
         missed_defects=missed,
-        predicted_artifacts=predicted_artifacts,
+        predicted_artifacts=picked,
     )
+
+
+def project_view(project: Project, target: Relationship) -> Project:
+    if project.relationship is not Relationship.N_TO_M:
+        raise InputContractError(
+            f"views are derived from n-m data, got a {project.relationship.value} project"
+        )
+    if target is Relationship.N_TO_M:
+        return project
+    position = {a.id: i for i, a in enumerate(project.artifacts)}
+    if target is Relationship.ONE_TO_M:
+        defects = tuple(
+            Defect(id=f"{d.id}#{member}", members=frozenset((member,)))
+            for d in project.defects
+            for member in sorted(d.members, key=position.__getitem__)
+        )
+    else:
+        defective = {member for d in project.defects for member in d.members}
+        defects = tuple(
+            Defect(id=a.id, members=frozenset((a.id,)))
+            for a in project.artifacts
+            if a.id in defective
+        )
+    return replace(project, defects=defects, relationship=target)

@@ -44,6 +44,12 @@ class TestExitCodes:
         assert cli_dispatch(["validate", str(bad)]) == 1
         assert "d2" in capsys.readouterr().err
 
+    def test_size_past_2_53_is_exit_one_with_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("file,loc,d1\ns1,99999999999999999999999,1\n")
+        assert cli_dispatch(["validate", str(bad)]) == 1
+        assert "line 2, column 2" in capsys.readouterr().err
+
     def test_missing_file_is_exit_one(self, capsys):
         assert cli_dispatch(["validate", "/nonexistent/matrix.csv"]) == 1
 

@@ -268,6 +268,14 @@ class TestParamValidation:
         with pytest.raises(InputContractError, match=name):
             CostParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["c_ratio", "c_init", "c_exec"])
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+    )
+    def test_integers_too_large_for_a_float(self, name, value):
+        with pytest.raises(InputContractError, match=f"{name} must be finite"):
+            CostParams(**{name: value})
+
 
 class TestAgainstReference:
     """The kernel-based costs against the per-view routes in ``cost_reference``."""

@@ -12,6 +12,7 @@ from defectcost import (
     Prediction,
     Project,
     Relationship,
+    classify,
     format_matrix,
     parse_matrix,
     parse_prediction,
@@ -94,6 +95,29 @@ class TestParseMatrix:
 
     def test_large_plain_size_accepted(self):
         assert parse_matrix("file,loc,d1\ns1,1000000,1\n").artifacts[0].size == 1_000_000
+
+    def test_total_size_up_to_2_53_accepted(self):
+        project = parse_matrix(f"file,loc,d1\ns1,{2**53 - 1},1\ns2,1,0\n")
+        assert project.sizes.tolist() == [2**53 - 1, 1]
+        assert int(project.sizes.sum()) == 2**53
+
+    @pytest.mark.parametrize(
+        "sizes, line",
+        [
+            (["99999999999999999999999"], 2),  # past int64
+            ([str(2**64 + 1)], 2),  # 1 modulo 2^64
+            (["9" * 5000], 2),  # past the length int() converts
+            ([str(2**53 + 1)], 2),
+            ([str(2**62), str(2**62)], 2),  # their int64 sum would wrap to -2^63
+            (["7", str(2**53 - 7), "1"], 4),
+            ([str(2**53)] * 1100, 3),  # the int64 running total wraps further on
+        ],
+    )
+    def test_total_size_above_2_53_located(self, sizes, line):
+        rows = "".join(f"s{i},{size},1\n" for i, size in enumerate(sizes))
+        with pytest.raises(ParseError, match="total size above 2\\^53") as err:
+            parse_matrix("file,loc,d1\n" + rows)
+        assert (err.value.line, err.value.column) == (line, 2)
 
     def test_all_zero_defect_column(self):
         with pytest.raises(ParseError, match="d2"):
@@ -203,6 +227,45 @@ class TestParseMatrixAgainstReference:
         result = outcome(parse_matrix, text)
         if isinstance(result, Project):
             assert parse_matrix(format_matrix(result), project_id=result.id) == result
+
+    @settings(max_examples=300)
+    @given(mutated_matrices(), st.data())
+    def test_mutated_matrix_views_and_outcomes(self, text, data):
+        """Views and outcomes of an array-built project equal the object-built ones."""
+        project = outcome(parse_matrix, text)
+        if not isinstance(project, Project):
+            return
+        reference = matrix_reference.parse_matrix(text)
+        ids = [a.id for a in reference.artifacts]
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids)))
+        prediction = Prediction(dict(zip(ids, labels)))
+        for relationship in Relationship:
+            view = project_view(project, relationship)
+            expected = matrix_reference.project_view(reference, relationship)
+            assert view == expected and hash(view) == hash(expected)
+            assert [d.id for d in view.defects] == [d.id for d in expected.defects]
+            result = classify(view, prediction)
+            assert result == matrix_reference.classify(expected, prediction)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (f"file,loc,d1\ns1,{2**53},1\n", None),
+            (f"file,loc,d1\ns1,{2**53},1\ns2,1,2\n", ("total size above 2^53", 3, 2)),
+            (f"file,loc,d1\ns1,{2**53},2\ns2,1,0\n", ("cell must be 0 or 1", 2, 3)),
+            (f"file,loc,d1\ns1,{2**53}\ns2,1,0\n", ("expected 3 fields, found 2", 2, 2)),
+            (f"file,loc,d1\ns1,1{'0' * 30},1\ns1,1,0\n", ("total size above 2^53", 2, 2)),
+            (f"file,loc,d1\ns1,{2**53},1\ns1,1,0\n", ("duplicate file id 's1'", 3, 1)),
+        ],
+    )
+    def test_total_size_edge_case(self, text, error):
+        result = outcome(parse_matrix, text)
+        assert result == outcome(matrix_reference.parse_matrix, text)
+        if error is None:
+            assert isinstance(result, Project)
+        else:
+            message, line, column = error
+            assert message in result[0] and result[1:] == (line, column)
 
     @pytest.mark.parametrize(
         "text, error",

@@ -5,18 +5,31 @@ import pytest
 from hypothesis import given
 
 from defectcost import (
+    ALL_KINDS,
+    SAMPLE_AGGREGATES,
+    AggregateSpec,
     Artifact,
     ConfusionMatrix,
+    CostParams,
     Defect,
     InputContractError,
     Prediction,
     Project,
     Relationship,
+    boundary_interval,
     classify,
+    cost_init,
+    cost_random,
+    format_matrix,
+    parse_matrix,
+    parse_prediction,
     perfect_prediction,
     precision,
+    project_from_aggregates,
     project_view,
+    random_project,
     recall,
+    simulate_prediction,
 )
 
 from . import matrix_reference
@@ -255,3 +268,109 @@ class TestInvariantEnforcement:
     def test_prediction_labels_binary(self):
         with pytest.raises(InputContractError):
             Prediction({"a": 2})
+
+    @pytest.mark.parametrize("sizes", [[2**53, 1], [2**70], [7, 2**53 - 7, 1]])
+    def test_total_size_at_most_2_53(self, sizes):
+        artifacts = tuple(Artifact(f"a{i}", size) for i, size in enumerate(sizes))
+        with pytest.raises(InputContractError, match="total size above 2\\^53"):
+            Project("p", artifacts, ())
+        assert Project("p", (Artifact("a", 2**53 - 1), Artifact("b", 1)), ()).sizes.sum() == 2**53
+
+    def test_generated_total_size_at_most_2_53(self):
+        with pytest.raises(InputContractError, match="total size above 2\\^53"):
+            project_from_aggregates(AggregateSpec("big", 2, 0, 0, 0.0, 2.0**60))
+
+
+def same_project(built, reference):
+    """``==`` both ways, equal hashes and equal reprs."""
+    assert built == reference and reference == built
+    assert hash(built) == hash(reference)
+    assert repr(built) == repr(reference)
+
+
+class TestArrayBuilt:
+    """Projects, views and outcomes built from arrays against objects.
+
+    ``matrix_reference`` builds every view and outcome from the ``Artifact``
+    and ``Defect`` objects; the projects here are array-built by
+    ``parse_matrix`` and ``project_view``.
+    """
+
+    @given(labeled_projects())
+    def test_views_and_outcomes_match_reference(self, case):
+        project, prediction = case
+        parsed = parse_matrix(format_matrix(project), project_id=project.id)
+        same_project(parsed, project)
+        for relationship in Relationship:
+            expected = matrix_reference.project_view(project, relationship)
+            reference_outcome = matrix_reference.classify(expected, prediction)
+            for source in (project, parsed):
+                view = project_view(source, relationship)
+                same_project(view, expected)
+                assert [d.id for d in view.defects] == [d.id for d in expected.defects]
+                outcome = classify(view, prediction)
+                assert outcome.cm == reference_outcome.cm
+                assert outcome.predicted_artifacts == reference_outcome.predicted_artifacts
+                assert outcome.predicted_defects == reference_outcome.predicted_defects
+                assert outcome.missed_defects == reference_outcome.missed_defects
+                assert outcome == reference_outcome
+                assert hash(outcome) == hash(reference_outcome)
+                assert repr(outcome) == repr(reference_outcome)
+
+    def test_generated_projects_equal_constructed(self, rng):
+        spec = next(s for s in SAMPLE_AGGREGATES if s.name == "falcon")
+        for project in (project_from_aggregates(spec, seed=7), random_project(rng)):
+            same_project(project, Project(project.id, project.artifacts, project.defects))
+
+    def test_arrays_are_read_only(self, project_e):
+        for project in (project_e, project_view(project_e, Relationship.ONE_TO_M)):
+            for array in (project.sizes, project.defective_mask, *project._member_csr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_outcome_priced_on_another_project(self, project_e, prediction_e, outcome_e):
+        params = CostParams(c_ratio=10.0, p_qf=0.25)
+        # the same artifacts in another order: the outcome's ids apply, its masks do not
+        shuffled = Project("E", project_e.artifacts[::-1], project_e.defects)
+        kind = ALL_KINDS[0]
+        assert cost_init(shuffled, outcome_e, params, kind) == cost_init(
+            project_e, outcome_e, params, kind
+        )
+        # a view shares the artifacts: the predicted-artifact mask applies, the
+        # defect-hit mask of the n-m defects does not
+        for kind in ALL_KINDS[1:3]:
+            view = project_view(project_e, kind.relationship)
+            assert cost_init(view, outcome_e, params, kind) == cost_init(
+                view, classify(view, prediction_e), params, kind
+            )
+
+
+class TestObjectFreePath:
+    def test_single_prediction_path_builds_no_objects(self, monkeypatch):
+        """The single-prediction path runs on arrays: no ``Artifact`` or ``Defect`` is built."""
+        spec = next(s for s in SAMPLE_AGGREGATES if s.name == "cayenne")
+        project = project_from_aggregates(spec, seed=2024)
+        matrix = format_matrix(project)
+        labels = simulate_prediction(project, 0.6, 12345).labels
+        prediction = "file,label\n" + "".join(f"{f},{label}\n" for f, label in labels.items())
+        built = []
+        for cls in (Artifact, Defect):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(self)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        parsed = parse_matrix(matrix, project_id=spec.name)
+        for kind in ALL_KINDS:
+            view = project_view(parsed, kind.relationship)
+            outcome = classify(view, parse_prediction(prediction, view))
+            params = CostParams(c_ratio=10.0, p_qf=0.5, qa_mode=kind.qa_mode)
+            cost_init(view, outcome, params, kind)
+            cost_random(view, 0.0, params)
+            cost_random(view, 1.0, params)
+            boundary_interval(view, outcome, params, kind)
+        assert built == []
+        # the objects are still there when asked for, and counted
+        assert len(parsed.artifacts) == spec.n_artifacts and len(built) == spec.n_artifacts
