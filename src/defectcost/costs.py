@@ -224,21 +224,19 @@ def _terms(project: Project, outcome: OutcomeSummary, params: CostParams) -> _Te
 
     QA costs are whole numbers (ones or sizes), so the QA sums are exact in
     any order: a project's total size is at most 2^53.  An outcome that
-    ``classify`` made on a project with these artifacts gives its mask of
-    predicted artifacts as is, and made on this project also its defect-hit
-    mask; any other outcome is mapped through the ids."""
-    source = outcome._project
-    if source is not None and source._file_ids is project._file_ids:
-        picked = outcome._picked
+    ``classify`` made on this project gives its predicted-artifact and
+    defect-hit masks as they are; any other outcome is mapped through the ids."""
+    if outcome._project is project:
+        picked, hit = outcome._picked, outcome._hit
     else:
         index = project.artifact_index
         predicted = outcome.predicted_artifacts
         picked = np.zeros(len(project.sizes), dtype=bool)
         picked[np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))] = True
+        hit = _defects_hit(project, picked)
     qa = qa_cost_vector(project, params.qa_mode)
     weight = _powers(1.0 - params.p_qf, project.defect_cardinalities)
     spent, unspent = float(qa[picked].sum()), float(qa[~picked].sum())
-    hit = outcome._hit if source is project else _defects_hit(project, picked)
     return _Terms(spent, unspent, weight, hit)
 
 

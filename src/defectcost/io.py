@@ -12,20 +12,22 @@ Row order gives the artifact order, column order the defect order, and every
 cell states whether the file belongs to the defect.  Prediction CSV is a
 two-column ``file,label`` table with one row per artifact.
 
-Both parsers check a file as a few whole strings and build arrays, not
+Both parsers check a file as a few long strings and build arrays, not
 ``Artifact`` and ``Defect`` objects (see ``defectcost.model``).
 ``parse_matrix`` splits each row once, into its id, its size and all its
 cells.  With k defect columns the cells are valid exactly when, with every
-``1`` read as ``0``, they equal ``0,0,...,0`` (k zeros), so the cells of all
-rows, each followed by a line break, are compared with one blank template,
-and the 1s are found in that string with ``str.find``, so Python code runs
-once per 1, never once per row or cell.  The sizes are checked with one
-joined ``isdigit`` and converted in one call, and the ids for duplicates by
-the size of their set.  Only a file that fails these checks is read again
-row by row, which gives its first error with the message, line and column a
-cell-by-cell reader would give.  ``parse_prediction`` likewise builds its
-labels from all rows at once, checks them with set operations, and reads the
-rows one at a time only to locate an error.
+``1`` read as ``0``, they equal ``0,0,...,0`` (k zeros), so the cells of a
+block of rows, each followed by a line break, are compared with one blank
+template, and the 1s are found in that string with ``str.find``, so Python
+code runs once per block and per 1, never once per row or cell.  A block
+holds about a mebibyte of cells, so no copy of a large file's cells is made
+whole.  The sizes are checked with one joined ``isdigit`` and converted in
+one call, and the ids for duplicates by the size of their set.  Only a file
+that fails these checks is read again row by row, which gives its first
+error with the message, line and column a cell-by-cell reader would give.
+``parse_prediction`` likewise builds its labels from all rows at once,
+checks them with set operations, and reads the rows one at a time only to
+locate an error.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import _MAX_TOTAL_SIZE, Prediction, Project, Relationship
 
 _UNWRITABLE = frozenset(",\n\r")  # the field and line separators
 _LABELS = {"0": 0, "1": 1}
+_BLOCK = 1 << 20  # characters of matrix cells compared at once
 
 
 def _split_lines(text: str) -> list[str]:
@@ -117,11 +120,30 @@ def _read_rows(rows: list[str], parts: int, blank: str, carriage_return: bool):
     the sizes sum to more than 2^53.
 
     ``parts`` is 3 (id, size, cells) with defect columns and 2 without; only a
-    file id can hold a carriage return, and only if the text does."""
-    fields = list(map(str.split, rows, repeat(","), repeat(2)))
-    if not set(map(len, fields)) <= {parts}:
-        return None
-    file_ids, sizes, *cells = zip(*fields) if fields else [()] * parts
+    file id can hold a carriage return, and only if the text does.  The rows
+    are split and their cells compared in blocks of about ``_BLOCK``
+    characters, so the copies of the cells never outgrow one block."""
+    stride = len(blank) + 1  # row r's cells start at r * stride
+    per_block = max(1, _BLOCK // stride)
+    template = (blank + "\n") * min(per_block, len(rows))
+    file_ids: list[str] = []
+    sizes: list[str] = []
+    ones: list[int] = []
+    for first in range(0, len(rows), per_block):
+        fields = list(map(str.split, rows[first : first + per_block], repeat(","), repeat(2)))
+        if not set(map(len, fields)) <= {parts}:
+            return None
+        block_ids, block_sizes, *cells = zip(*fields)
+        file_ids += block_ids
+        sizes += block_sizes
+        if cells:
+            joined = "\n".join([*cells[0], ""])
+            if joined.replace("1", "0") != template[: len(joined)]:
+                return None
+            at = joined.find("1")
+            while at >= 0:
+                ones.append(first * stride + at)
+                at = joined.find("1", at + 2)
     if (
         len(set(file_ids)) < len(file_ids)
         or "" in file_ids
@@ -137,17 +159,7 @@ def _read_rows(rows: list[str], parts: int, blank: str, carriage_return: bool):
     # running total cannot wrap before it first passes 2^53
     if values.max(initial=0) > _MAX_TOTAL_SIZE or (np.cumsum(values) > _MAX_TOTAL_SIZE).any():
         return None
-    if not cells:
-        return file_ids, values, np.zeros(0, dtype=np.int64)
-    joined = "\n".join([*cells[0], ""])  # row r's cells start at r * (len(blank) + 1)
-    if joined.replace("1", "0") != (blank + "\n") * len(rows):
-        return None
-    ones = []
-    at = joined.find("1")
-    while at >= 0:
-        ones.append(at)
-        at = joined.find("1", at + 2)
-    return file_ids, values, np.array(ones, dtype=np.int64)
+    return tuple(file_ids), values, np.array(ones, dtype=np.int64)
 
 
 def _row_error(rows: list[str], width: int, blank: str) -> ParseError:

@@ -88,6 +88,19 @@ def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _set_arrays(project, file_ids, sizes, indices, starts, **known) -> None:
+    """Store a project's arrays, read-only, in its ``__dict__``; ``known`` as
+    for ``Project._from_arrays``."""
+    if "defective_mask" not in known:
+        known["defective_mask"] = np.zeros(len(sizes), dtype=bool)
+        known["defective_mask"][indices] = True
+    for array in (sizes, indices, starts, known["defective_mask"]):
+        array.flags.writeable = False  # views share them
+    project.__dict__.update(
+        _file_ids=file_ids, sizes=sizes, _member_csr=(indices, starts), **known
+    )
+
+
 @dataclass(frozen=True)
 class Project:
     """An immutable artifact list plus defect incidence, tagged with its view.
@@ -145,16 +158,14 @@ class Project:
                     )
                 used.add(member)
         _check_total_size(self.id, sum(a.size for a in self.artifacts))
-        arrays = Project._from_arrays(
-            self.id,
-            self.relationship,
+        _set_arrays(
+            self,
             tuple(index),
             np.array([a.size for a in self.artifacts], dtype=np.int64),
             *_csr([sorted(map(index.__getitem__, d.members)) for d in self.defects]),
             _defect_ids=tuple(d.id for d in self.defects),
             artifact_index=index,
         )
-        self.__dict__.update(vars(arrays))  # the arrays, as an array-built project holds them
 
     @classmethod
     def _from_arrays(cls, id, relationship, file_ids, sizes, indices, starts, **known) -> Project:
@@ -163,20 +174,9 @@ class Project:
         ``known`` holds whatever else the caller has at hand: ``_defect_ids``
         (a 1-m or 1-1 view passes ``_source``, the n-m project it is derived
         from, instead), ``defective_mask`` and ``artifact_index``."""
-        if "defective_mask" not in known:
-            known["defective_mask"] = np.zeros(len(sizes), dtype=bool)
-            known["defective_mask"][indices] = True
-        for array in (sizes, indices, starts, known["defective_mask"]):
-            array.flags.writeable = False  # views share them
         project = object.__new__(cls)
-        project.__dict__.update(
-            id=id,
-            relationship=relationship,
-            _file_ids=file_ids,
-            sizes=sizes,
-            _member_csr=(indices, starts),
-            **known,
-        )
+        project.__dict__.update(id=id, relationship=relationship)
+        _set_arrays(project, file_ids, sizes, indices, starts, **known)
         return project
 
     def __getattr__(self, name):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defectcost.io
 from defectcost import (
     Artifact,
     Defect,
@@ -220,6 +221,14 @@ class TestParseMatrixAgainstReference:
     @given(mutated_matrices())
     def test_mutated_matrix(self, text):
         assert outcome(parse_matrix, text) == outcome(matrix_reference.parse_matrix, text)
+
+    @settings(max_examples=300)
+    @given(mutated_matrices(), st.integers(1, 24))
+    def test_mutated_matrix_in_small_blocks(self, text, block):
+        """Rows split over many blocks give the result of the whole file in one."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(defectcost.io, "_BLOCK", block)
+            assert outcome(parse_matrix, text) == outcome(matrix_reference.parse_matrix, text)
 
     @settings(max_examples=400)
     @given(mutated_matrices())

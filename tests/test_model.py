@@ -330,14 +330,14 @@ class TestArrayBuilt:
 
     def test_outcome_priced_on_another_project(self, project_e, prediction_e, outcome_e):
         params = CostParams(c_ratio=10.0, p_qf=0.25)
-        # the same artifacts in another order: the outcome's ids apply, its masks do not
+        # an outcome made on another project is priced through its ids: the
+        # same artifacts in another order
         shuffled = Project("E", project_e.artifacts[::-1], project_e.defects)
         kind = ALL_KINDS[0]
         assert cost_init(shuffled, outcome_e, params, kind) == cost_init(
             project_e, outcome_e, params, kind
         )
-        # a view shares the artifacts: the predicted-artifact mask applies, the
-        # defect-hit mask of the n-m defects does not
+        # a view of the same artifacts, with other defects
         for kind in ALL_KINDS[1:3]:
             view = project_view(project_e, kind.relationship)
             assert cost_init(view, outcome_e, params, kind) == cost_init(
