@@ -28,7 +28,6 @@ from .costs import (
     cost_init,
     cost_random,
     induced_inputs,
-    qa_failure,
 )
 from .errors import DataError, InputContractError, ParseError
 from .io import SummaryStats, format_matrix, parse_matrix, parse_prediction, summarize
@@ -56,14 +55,11 @@ from .simulation import (
     cell_seed,
     run_grid,
     simulate_prediction,
-    splitmix64,
 )
 from .synthetic import (
     SAMPLE_AGGREGATES,
     AggregateSpec,
     project_from_aggregates,
-    random_prediction,
-    random_project,
     sample_corpus,
 )
 
@@ -116,15 +112,11 @@ __all__ = [
     "precision",
     "project_from_aggregates",
     "project_view",
-    "qa_failure",
-    "random_prediction",
-    "random_project",
     "recall",
     "render_scatter",
     "run_grid",
     "sample_corpus",
     "simulate_prediction",
-    "splitmix64",
     "summarize",
     "theorem_boundary",
     "trend",

@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .costs import CostParams, ModelKind, _check_kind, _powers, _terms
-from .errors import InputContractError
+from .errors import InputContractError, _shown
 from .model import OutcomeSummary, Project
 
 UNBOUNDED = math.inf
@@ -128,7 +128,7 @@ def theorem_boundary(
     sign of qa_margin.
     """
     if not 0.0 <= p_qa <= 1.0:
-        raise InputContractError(f"p_qa must be in [0, 1], got {p_qa}")
+        raise InputContractError(f"p_qa must be in [0, 1], got {_shown(p_qa)}")
     terms = _terms(project, outcome, params)
     covered = _powers(p_qa, project.defect_cardinalities)
     coeff = math.fsum((terms.weight * (covered - terms.hit)).tolist())

@@ -20,14 +20,17 @@ and quality-assurance failure is a per-artifact Bernoulli miss with
 probability ``p_qf``, so qf(d) = 1 - w(d) with the escape weight
 w(d) = (1 - p_qf)^|d|, the chance that QA on all of d's artifacts reveals d.
 
-One private kernel, ``_terms``, gives the initialized costs and the
-boundaries (``defectcost.boundaries``) all they read about an outcome: QA
-spent and unspent, each defect's escape weight and whether it was predicted.
-The 1-m and 1-1 views are n-m data with single-member defects, so no formula
-depends on the view.  ``boundaries._ends`` turns QA spent and unspent and the
-escape weight prevented and lost into the lower end, the upper end and the
-cost-saving verdict, both for ``boundary_interval`` and, as arrays over every
-grid cell, for ``defectcost.simulation.run_grid``.
+Each term has one definition, read by every route, the simulation grid's
+included: ``qa_cost_vector`` per artifact, the escape weight ``_powers``
+per defect, and ``model._defects_hit``.  One private kernel, ``_terms``,
+gives the initialized costs and the boundaries (``defectcost.boundaries``)
+all they read about an outcome: QA spent and unspent, each defect's escape
+weight and whether it was predicted.  The 1-m and 1-1 views are n-m data
+with single-member defects, so no formula depends on the view.
+``boundaries._ends`` turns QA spent and unspent and the escape weight
+prevented and lost into the lower end, the upper end and the cost-saving
+verdict, both for ``boundary_interval`` and, as arrays over every grid cell,
+for ``defectcost.simulation.run_grid``.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InputContractError
+from .errors import InputContractError, _shown
 from .model import OutcomeSummary, Project, Relationship, _defects_hit
 
 
@@ -115,7 +119,7 @@ class CostParams:
         if not self.c_ratio > 0:
             raise InputContractError(f"c_ratio must be positive, got {self.c_ratio}")
         if not 0.0 <= self.p_qf < 1.0:
-            raise InputContractError(f"p_qf must be in [0, 1), got {self.p_qf}")
+            raise InputContractError(f"p_qf must be in [0, 1), got {_shown(self.p_qf)}")
         if self.c_init < 0 or self.c_exec < 0:
             raise InputContractError("c_init and c_exec must be non-negative")
 
@@ -131,20 +135,6 @@ class GeneralCostInputs:
     c_exec: float = 0.0
 
 
-def qa_failure(p_qf: float, cardinality: int) -> float:
-    """Probability that QA misses a defect touching ``cardinality`` artifacts.
-
-    Each artifact is an independent Bernoulli miss with probability ``p_qf``;
-    the defect escapes when it is missed in at least one artifact, giving
-    1 - (1 - p_qf)^cardinality.  Strictly increasing in both arguments.
-    """
-    if not 0.0 <= p_qf < 1.0:
-        raise InputContractError(f"p_qf must be in [0, 1), got {p_qf}")
-    if cardinality < 1:
-        raise InputContractError(f"cardinality must be >= 1, got {cardinality}")
-    return 1.0 - (1.0 - p_qf) ** cardinality
-
-
 def qa_cost_vector(project: Project, qa_mode: QAMode) -> np.ndarray:
     """Per-artifact QA cost in stored order: all ones, or the artifact sizes."""
     if qa_mode is QAMode.SIZE_AWARE:
@@ -156,14 +146,15 @@ def induced_inputs(project: Project, params: CostParams) -> GeneralCostInputs:
     """The general cost inputs that an initialized model implicitly uses.
 
     QA cost per artifact follows ``params.qa_mode``, every defect loses
-    ``c_ratio``, and the failure rate of a defect is the Bernoulli escape
-    probability for its member count.
+    ``c_ratio``, and the failure rate of a defect is 1 - w(d), w(d) being its
+    escape weight.
     """
-    qa = qa_cost_vector(project, params.qa_mode)
+    defect_ids = project._defect_ids
+    qf = 1.0 - _powers(1.0 - params.p_qf, project.defect_cardinalities)
     return GeneralCostInputs(
-        qa_costs={a.id: float(q) for a, q in zip(project.artifacts, qa)},
-        losses={d.id: params.c_ratio for d in project.defects},
-        qf_values={d.id: qa_failure(params.p_qf, len(d.members)) for d in project.defects},
+        qa_costs=dict(zip(project._file_ids, qa_cost_vector(project, params.qa_mode).tolist())),
+        losses=dict.fromkeys(defect_ids, params.c_ratio),
+        qf_values=dict(zip(defect_ids, qf.tolist())),
         c_init=params.c_init,
         c_exec=params.c_exec,
     )
@@ -174,17 +165,19 @@ def cost_general(project: Project, outcome: OutcomeSummary, inputs: GeneralCostI
 
     The mappings must be total on the project's artifacts and defects.
     """
-    for a in project.artifacts:
-        if a.id not in inputs.qa_costs:
-            raise InputContractError(f"missing qa cost for artifact {a.id!r}")
-    for d in project.defects:
-        if d.id not in inputs.losses:
-            raise InputContractError(f"missing loss for defect {d.id!r}")
-        if d.id not in inputs.qf_values:
-            raise InputContractError(f"missing qf value for defect {d.id!r}")
-    qa_spent = math.fsum(inputs.qa_costs[a] for a in outcome.predicted_artifacts)
-    missed = math.fsum(inputs.losses[d] for d in outcome.missed_defects)
-    escaped = math.fsum(inputs.qf_values[d] * inputs.losses[d] for d in outcome.predicted_defects)
+    defect_ids = project._defect_ids
+    for artifact_id in project._file_ids:
+        if artifact_id not in inputs.qa_costs:
+            raise InputContractError(f"missing qa cost for artifact {artifact_id!r}")
+    for defect_id in defect_ids:
+        if defect_id not in inputs.losses:
+            raise InputContractError(f"missing loss for defect {defect_id!r}")
+        if defect_id not in inputs.qf_values:
+            raise InputContractError(f"missing qf value for defect {defect_id!r}")
+    picked, hit = _masks(project, outcome)
+    qa_spent = math.fsum(map(inputs.qa_costs.__getitem__, compress(project._file_ids, picked)))
+    missed = math.fsum(map(inputs.losses.__getitem__, compress(defect_ids, ~hit)))
+    escaped = math.fsum(inputs.qf_values[d] * inputs.losses[d] for d in compress(defect_ids, hit))
     return inputs.c_init + inputs.c_exec + qa_spent + missed + escaped
 
 
@@ -219,21 +212,26 @@ class _Terms(NamedTuple):
     hit: np.ndarray  # True where all of the defect's artifacts are predicted
 
 
+def _masks(project: Project, outcome: OutcomeSummary) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome's predicted-artifact and defect-hit masks on ``project``.
+
+    An outcome that ``classify`` made on this project gives them as they are;
+    any other outcome is mapped through the ids of its predicted artifacts."""
+    if outcome._project is project:
+        return outcome._picked, outcome._hit
+    index = project.artifact_index
+    predicted = outcome.predicted_artifacts
+    picked = np.zeros(len(project.sizes), dtype=bool)
+    picked[np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))] = True
+    return picked, _defects_hit(project, picked)
+
+
 def _terms(project: Project, outcome: OutcomeSummary, params: CostParams) -> _Terms:
     """The kernel.
 
     QA costs are whole numbers (ones or sizes), so the QA sums are exact in
-    any order: a project's total size is at most 2^53.  An outcome that
-    ``classify`` made on this project gives its predicted-artifact and
-    defect-hit masks as they are; any other outcome is mapped through the ids."""
-    if outcome._project is project:
-        picked, hit = outcome._picked, outcome._hit
-    else:
-        index = project.artifact_index
-        predicted = outcome.predicted_artifacts
-        picked = np.zeros(len(project.sizes), dtype=bool)
-        picked[np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))] = True
-        hit = _defects_hit(project, picked)
+    any order: a project's total size is at most 2^53."""
+    picked, hit = _masks(project, outcome)
     qa = qa_cost_vector(project, params.qa_mode)
     weight = _powers(1.0 - params.p_qf, project.defect_cardinalities)
     spent, unspent = float(qa[picked].sum()), float(qa[~picked].sum())
@@ -265,7 +263,7 @@ def cost_random(project: Project, p_qa: float, params: CostParams) -> float:
     overheads c_init/c_exec do not apply to this baseline.
     """
     if not 0.0 <= p_qa <= 1.0:
-        raise InputContractError(f"p_qa must be in [0, 1], got {p_qa}")
+        raise InputContractError(f"p_qa must be in [0, 1], got {_shown(p_qa)}")
     cards = project.defect_cardinalities
     covered = _powers(p_qa, cards)
     qf = 1.0 - _powers(1.0 - params.p_qf, cards)

@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an int with too many digits to convert to text."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 class DataError(Exception):
     """Base class for all data and contract violations raised by this package."""
 

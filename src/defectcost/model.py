@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputContractError
+from .errors import InputContractError, _shown
 
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
@@ -58,7 +58,9 @@ class Artifact:
                 f"artifact {self.id!r} has size {self.size!r}, must be an integer"
             )
         if self.size < 1:
-            raise InputContractError(f"artifact {self.id!r} has size {self.size}, must be >= 1")
+            raise InputContractError(
+                f"artifact {self.id!r} has size {_shown(self.size)}, must be >= 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -301,11 +303,12 @@ def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
 
 
 def _defects_hit(project: Project, predicted: np.ndarray) -> np.ndarray:
-    """Per defect: are all its artifacts marked in the boolean artifact mask ``predicted``?"""
+    """Per defect: are all its artifacts marked in ``predicted``, an artifact mask or
+    stacked label rows (leading axes rows, last axis artifacts; dtype kept)?"""
     indices, starts = project._member_csr
     if len(starts) == 1:
-        return np.zeros(0, dtype=bool)
-    return np.minimum.reduceat(predicted[indices], starts[:-1])
+        return np.zeros((*predicted.shape[:-1], 0), dtype=predicted.dtype)
+    return np.minimum.reduceat(predicted[..., indices], starts[:-1], axis=-1)
 
 
 def classify(project: Project, prediction: Prediction) -> OutcomeSummary:

@@ -18,7 +18,7 @@ from itertools import compress, count, repeat
 import numpy as np
 
 from .costs import ALL_KINDS, ModelKind
-from .errors import InputContractError, ParseError
+from .errors import InputContractError, ParseError, _shown
 from .simulation import RecordTable
 
 CSV_COLUMNS = (
@@ -131,10 +131,12 @@ def _floats_written(texts, values) -> bool:
 
     Once those characters are deleted from the joined texts, in one pass (a
     non-ASCII character is left as ``?``), what is left must be one ``inf``
-    per text that is exactly ``inf``.  The range checks reject an ``inf``
-    where only a boundary may be unbounded."""
+    per text that is exactly ``inf``, and only those texts may read as inf
+    (``1e999`` overflows to it).  The range checks reject an ``inf`` where
+    only a boundary may be unbounded."""
     left = "".join(texts).encode("ascii", "replace").translate(None, b"0123456789.e+-")
-    return left == b"inf" * texts.count("inf")
+    infs = texts.count("inf")
+    return left == b"inf" * infs and values.count(math.inf) == infs
 
 
 def _in_unit(value) -> bool:
@@ -423,7 +425,7 @@ def _points(records, metric: str, kind: ModelKind, bounds) -> dict:
 def _bins(metric_values, bound_values, n_bins: int) -> tuple:
     """(midpoint, mean, count) per equal-width metric bin; bin means are exact sums."""
     if n_bins < 2:
-        raise InputContractError(f"n_bins must be >= 2, got {n_bins}")
+        raise InputContractError(f"n_bins must be >= 2, got {_shown(n_bins)}")
     index = np.clip(metric_values * n_bins, 0, n_bins - 1).astype(np.intp)
     counts = np.bincount(index, minlength=n_bins)
     groups = np.split(bound_values[np.argsort(index, kind="stable")], np.cumsum(counts)[:-1])

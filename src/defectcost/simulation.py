@@ -42,14 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundaries import _ends
-from .costs import ALL_KINDS, ModelKind, QAMode, _is_number, _powers
-from .errors import InputContractError
-from .model import (
-    ConfusionMatrix,
-    Prediction,
-    Project,
-    Relationship,
-)
+from .costs import ALL_KINDS, ModelKind, QAMode, _is_number, _powers, qa_cost_vector
+from .errors import InputContractError, _shown
+from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit
 
 _MASK64 = (1 << 64) - 1
 
@@ -63,7 +58,7 @@ _BLOCK_CELLS = 64
 _BLOCK_LABELS = 1 << 16
 
 
-def splitmix64(value: int) -> int:
+def _splitmix64(value: int) -> int:
     """One step of the SplitMix64 finalizer; a fixed, portable 64-bit mixer."""
     z = (value + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -73,9 +68,9 @@ def splitmix64(value: int) -> int:
 
 def cell_seed(master_seed: int, accuracy_index: int, repetition_index: int) -> int:
     """Deterministic per-cell seed; see the module docstring for the scheme."""
-    mixed = splitmix64(master_seed & _MASK64)
-    mixed = splitmix64(mixed ^ (accuracy_index & _MASK64))
-    mixed = splitmix64(mixed ^ (repetition_index & _MASK64))
+    mixed = _splitmix64(master_seed & _MASK64)
+    mixed = _splitmix64(mixed ^ (accuracy_index & _MASK64))
+    mixed = _splitmix64(mixed ^ (repetition_index & _MASK64))
     return mixed
 
 
@@ -192,9 +187,11 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     is fully determined by ``cell_seed``, an integer in [0, 2^64).
     """
     if not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
-        raise InputContractError(f"accuracy must be a number in [0, 1], got {accuracy!r}")
+        raise InputContractError(f"accuracy must be a number in [0, 1], got {_shown(accuracy)}")
     if not (_is_int(cell_seed) and 0 <= cell_seed <= _MASK64):
-        raise InputContractError(f"cell_seed must be an integer in [0, 2^64), got {cell_seed!r}")
+        raise InputContractError(
+            f"cell_seed must be an integer in [0, 2^64), got {_shown(cell_seed)}"
+        )
     truth = project.defective_mask
     generator = np.random.Generator(np.random.PCG64(cell_seed))
     labels = _simulate_labels(
@@ -223,16 +220,16 @@ class GridConfig:
             raise InputContractError("accuracies must not be empty")
         for a in accuracies:
             if not 0.0 <= a <= 1.0:
-                raise InputContractError(f"accuracy {a} outside [0, 1]")
+                raise InputContractError(f"accuracy {_shown(a)} outside [0, 1]")
         if not _is_int(self.repetitions):
             raise InputContractError(f"repetitions must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
-            raise InputContractError(f"repetitions must be >= 1, got {self.repetitions}")
+            raise InputContractError(f"repetitions must be >= 1, got {_shown(self.repetitions)}")
         if not p_qf_values:
             raise InputContractError("p_qf_values must not be empty")
         for p in p_qf_values:
             if not 0.0 <= p < 1.0:
-                raise InputContractError(f"p_qf {p} outside [0, 1)")
+                raise InputContractError(f"p_qf {_shown(p)} outside [0, 1)")
         if not (_is_int(self.seed) and 0 <= self.seed <= _MASK64):
             raise InputContractError("seed must be an unsigned 64-bit integer")
         if not kinds:
@@ -356,31 +353,30 @@ class RecordTable(Sequence):
 def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.ndarray]:
     """Draw every cell's labeling and reduce it; cell ``a * repetitions + r``.
 
-    Returns the (cells, 4) label sums [predicted artifacts, true positives,
-    predicted size, predicted (defect, artifact) incidence pairs] and the
-    (cells, 2, p_qf values) n-m escape weights (1 - p_qf)^|d| summed over the
-    predicted and the missed defects.  Label rows are stacked into blocks and
-    reduced with matrix products; the integer sums are exact in float64.
+    Returns the (cells, 4) label sums [QA spent per ``QAMode`` (``qa_cost_vector``),
+    true positives, predicted (defect, artifact) incidence pairs] and the (cells,
+    2, p_qf values) n-m escape weights ``_powers`` summed over the defects that
+    ``_defects_hit`` finds predicted and over the missed ones.  Label rows are
+    stacked into blocks and reduced with matrix products; the integer sums are
+    exact in float64.
     """
     n = len(project.sizes)
     truth = project.defective_mask
-    indices, starts = project._member_csr
-    columns = np.column_stack(
-        [np.ones(n), truth, project.sizes, np.bincount(indices, minlength=n)]
-    )
+    qa = (qa_cost_vector(project, mode) for mode in QAMode)  # freed once stacked
+    columns = np.column_stack([*qa, truth, np.bincount(project._member_csr[0], minlength=n)])
     cards = project.defect_cardinalities
     escape = np.column_stack([_powers(1.0 - p, cards) for p in config.p_qf_values])
     repetitions = config.repetitions
     n_cells = len(config.accuracies) * repetitions
-    sums = np.empty((n_cells, 4))
-    escaped = np.zeros((n_cells, 2, len(config.p_qf_values)))
+    sums = np.empty((n_cells, columns.shape[1]))
+    escaped = np.empty((n_cells, 2, len(config.p_qf_values)))
     block = max(1, min(_BLOCK_CELLS, _BLOCK_LABELS // max(n, 1)))
     labels = np.empty((block, n))
     # cell_seed(config.seed, a, r), mixing the master seed and each accuracy index once
-    master = splitmix64(config.seed)
+    master = _splitmix64(config.seed)
     states = _pcg64_states([
-        splitmix64(mixed ^ r)
-        for mixed in (splitmix64(master ^ a) for a in range(len(config.accuracies)))
+        _splitmix64(mixed ^ r)
+        for mixed in (_splitmix64(master ^ a) for a in range(len(config.accuracies)))
         for r in range(repetitions)
     ])
     accuracies = np.repeat(config.accuracies, repetitions)
@@ -392,10 +388,9 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
             truth, accuracies[start:stop], generator, labels[: stop - start], states[start:stop]
         )
         sums[start:stop] = rows @ columns
-        if len(cards):
-            hit = np.minimum.reduceat(rows[:, indices], starts[:-1], axis=1)
-            escaped[start:stop, 0] = hit @ escape
-            escaped[start:stop, 1] = (1.0 - hit) @ escape
+        hit = _defects_hit(project, rows)
+        escaped[start:stop, 0] = hit @ escape
+        escaped[start:stop, 1] = (1.0 - hit) @ escape
     return sums, escaped
 
 
@@ -429,14 +424,14 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     sums, escaped = _cell_sums(project, config)
     n = len(project.sizes)
     n_defective = int(np.count_nonzero(project.defective_mask))
-    predicted, tp, predicted_size, predicted_pairs = sums.T
+    *spent, tp, predicted_pairs = sums.T
     fn = n_defective - tp
     keep = 1.0 - np.array(config.p_qf_values)
     # QA spent and unspent per QA mode (cells,); escape weight prevented and
     # lost per view (cells, p_qf values)
     qa = {
-        QAMode.CONSTANT: (predicted, n - predicted),
-        QAMode.SIZE_AWARE: (predicted_size, float(project.sizes.sum()) - predicted_size),
+        mode: (mode_spent, qa_cost_vector(project, mode).sum() - mode_spent)
+        for mode, mode_spent in zip(QAMode, spent)
     }
     total_pairs = float(project.defect_cardinalities.sum())
     weight = {
@@ -456,9 +451,9 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     settings = [(p_qf, kind) for p_qf in config.p_qf_values for kind in kinds]
     row_cell, row_setting = _canonical_rows(config, len(settings))
     lower, upper, cost_saving = (e.reshape(len(sums), -1)[row_cell, row_setting] for e in ends)
-    counts = sums[:, :2].astype(np.int64)
-    tps = counts[:, 1].tolist()
-    fps = (counts[:, 0] - counts[:, 1]).tolist()
+    predicted = qa[QAMode.CONSTANT][0]  # one QA unit per predicted artifact
+    tps = tp.astype(np.int64).tolist()
+    fps = (predicted - tp).astype(np.int64).tolist()
     fns = [n_defective - t for t in tps]
     cells = {
         "project": [project.id] * len(sums),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputContractError
-from .model import Prediction, Project, Relationship, _check_total_size, _csr
+from .model import Project, Relationship, _check_total_size, _csr
 
 
 @dataclass(frozen=True)
@@ -131,34 +131,3 @@ def sample_corpus(seed: int = 0) -> list[Project]:
     rng = np.random.default_rng(seed)
     return [project_from_aggregates(spec, rng) for spec in SAMPLE_AGGREGATES]
 
-
-def random_project(
-    rng: np.random.Generator,
-    max_artifacts: int = 30,
-    max_defects: int = 10,
-    max_size: int = 400,
-    name: str = "rand",
-) -> Project:
-    """A small random n-m project for property and consistency tests."""
-    n = int(rng.integers(1, max_artifacts + 1))
-    sizes = rng.integers(1, max_size + 1, size=n)
-    _check_total_size(name, sum(sizes.tolist()))
-    n_defects = int(rng.integers(0, max_defects + 1))
-    rows = []
-    for _ in range(n_defects):
-        k = int(min(rng.geometric(0.45), n))
-        rows.append(sorted(rng.choice(n, size=k, replace=False).tolist()))
-    return Project._from_arrays(
-        name,
-        Relationship.N_TO_M,
-        tuple(f"{name}/f{i}" for i in range(n)),
-        sizes,
-        *_csr(rows),
-        _defect_ids=tuple(f"{name}/d{j}" for j in range(n_defects)),
-    )
-
-
-def random_prediction(project: Project, rng: np.random.Generator) -> Prediction:
-    """A uniformly random labeling of the project's artifacts."""
-    labels = rng.integers(0, 2, size=len(project.sizes))
-    return Prediction(labels=dict(zip(project._file_ids, labels.tolist())))

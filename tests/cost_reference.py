@@ -3,8 +3,10 @@
 ``cost_init`` and ``boundary_interval`` branch on the incidence view;
 ``lower_boundary``, ``upper_boundary`` and ``theorem_boundary`` read the QA
 failure probability qf(d) = 1 - (1 - p_qf)^|d| and use 1 - qf(d) as the
-escape weight; ``cost_random`` loops over the defects in Python.  The view
-and QA-mode checks are left out: tests call these only with matching views.
+escape weight; ``cost_random`` loops over the defects in Python.
+``induced_inputs`` and ``cost_general`` walk the ``Artifact`` and ``Defect``
+objects and the outcome's id sets.  The view and QA-mode checks are left
+out: tests call these only with matching views.
 """
 
 import math
@@ -14,11 +16,47 @@ from defectcost import (
     BoundaryCondition,
     BoundaryInterval,
     BoundKind,
+    GeneralCostInputs,
+    InputContractError,
     QAMode,
     Relationship,
-    qa_failure,
 )
 from defectcost.costs import qa_cost_vector
+
+
+def qa_failure(p_qf, cardinality):
+    """1 - (1 - p_qf)^cardinality: QA misses a defect in at least one of its artifacts."""
+    if not 0.0 <= p_qf < 1.0:
+        raise InputContractError(f"p_qf must be in [0, 1), got {p_qf}")
+    if cardinality < 1:
+        raise InputContractError(f"cardinality must be >= 1, got {cardinality}")
+    return 1.0 - (1.0 - p_qf) ** cardinality
+
+
+def induced_inputs(project, params):
+    qa = qa_cost_vector(project, params.qa_mode)
+    return GeneralCostInputs(
+        qa_costs={a.id: float(q) for a, q in zip(project.artifacts, qa)},
+        losses={d.id: params.c_ratio for d in project.defects},
+        qf_values={d.id: qa_failure(params.p_qf, len(d.members)) for d in project.defects},
+        c_init=params.c_init,
+        c_exec=params.c_exec,
+    )
+
+
+def cost_general(project, outcome, inputs):
+    for a in project.artifacts:
+        if a.id not in inputs.qa_costs:
+            raise InputContractError(f"missing qa cost for artifact {a.id!r}")
+    for d in project.defects:
+        if d.id not in inputs.losses:
+            raise InputContractError(f"missing loss for defect {d.id!r}")
+        if d.id not in inputs.qf_values:
+            raise InputContractError(f"missing qf value for defect {d.id!r}")
+    qa_spent = math.fsum(inputs.qa_costs[a] for a in outcome.predicted_artifacts)
+    missed = math.fsum(inputs.losses[d] for d in outcome.missed_defects)
+    escaped = math.fsum(inputs.qf_values[d] * inputs.losses[d] for d in outcome.predicted_defects)
+    return inputs.c_init + inputs.c_exec + qa_spent + missed + escaped
 
 
 def _qf_by_defect(project, params):

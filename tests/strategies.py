@@ -1,5 +1,6 @@
 """Hypothesis strategies and random cases: small projects, predictions and prices."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from defectcost import (
@@ -9,11 +10,43 @@ from defectcost import (
     Defect,
     Prediction,
     Project,
+    Relationship,
     classify,
     project_view,
-    random_prediction,
-    random_project,
 )
+from defectcost.model import _check_total_size, _csr
+
+
+def random_project(
+    rng: np.random.Generator,
+    max_artifacts: int = 30,
+    max_defects: int = 10,
+    max_size: int = 400,
+    name: str = "rand",
+) -> Project:
+    """A small random n-m project for property and consistency tests."""
+    n = int(rng.integers(1, max_artifacts + 1))
+    sizes = rng.integers(1, max_size + 1, size=n)
+    _check_total_size(name, sum(sizes.tolist()))
+    n_defects = int(rng.integers(0, max_defects + 1))
+    rows = []
+    for _ in range(n_defects):
+        k = int(min(rng.geometric(0.45), n))
+        rows.append(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    return Project._from_arrays(
+        name,
+        Relationship.N_TO_M,
+        tuple(f"{name}/f{i}" for i in range(n)),
+        sizes,
+        *_csr(rows),
+        _defect_ids=tuple(f"{name}/d{j}" for j in range(n_defects)),
+    )
+
+
+def random_prediction(project: Project, rng: np.random.Generator) -> Prediction:
+    """A uniformly random labeling of the project's artifacts."""
+    labels = rng.integers(0, 2, size=len(project.sizes))
+    return Prediction(labels=dict(zip(project._file_ids, labels.tolist())))
 
 
 @st.composite

@@ -37,8 +37,6 @@ from defectcost import (
     precision,
     project_from_aggregates,
     project_view,
-    random_prediction,
-    random_project,
     run_grid,
     sample_corpus,
     theorem_boundary,
@@ -46,6 +44,8 @@ from defectcost import (
 )
 from defectcost.cli import cli_dispatch
 from defectcost.synthetic import SAMPLE_AGGREGATES
+
+from .strategies import random_prediction, random_project
 
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
 CONST_1M = ModelKind(QAMode.CONSTANT, Relationship.ONE_TO_M)

@@ -29,15 +29,13 @@ from defectcost import (
     perfect_prediction,
     precision,
     project_view,
-    random_prediction,
-    random_project,
     theorem_boundary,
     upper_boundary,
 )
 from defectcost.costs import qa_cost_vector
 
 from . import cost_reference
-from .strategies import priced_cases
+from .strategies import priced_cases, random_prediction, random_project
 
 CONST = CostParams()
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)

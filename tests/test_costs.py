@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 
 from defectcost import (
     ALL_KINDS,
+    Artifact,
     CostParams,
+    Defect,
     GeneralCostInputs,
     InputContractError,
     ModelKind,
+    OutcomeSummary,
     Prediction,
+    Project,
     QAMode,
     Relationship,
     classify,
@@ -20,11 +24,10 @@ from defectcost import (
     cost_random,
     induced_inputs,
     project_view,
-    qa_failure,
 )
 
 from . import cost_reference
-from .strategies import priced_cases
+from .strategies import priced_cases, random_prediction, random_project
 
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
 
@@ -37,6 +40,13 @@ def unit_inputs(project, loss=10.0, qf=0.0):
     )
 
 
+def qa_failure(p_qf, cardinality):
+    """qf of one defect over ``cardinality`` artifacts, as ``induced_inputs`` gives it."""
+    artifacts = tuple(Artifact(f"f{i}", 1) for i in range(cardinality))
+    project = Project("qf", artifacts, (Defect("d", frozenset(a.id for a in artifacts)),))
+    return induced_inputs(project, CostParams(p_qf=p_qf)).qf_values["d"]
+
+
 class TestQaFailure:
     def test_perfect_qa(self):
         assert qa_failure(0.0, 1) == 0.0
@@ -47,10 +57,6 @@ class TestQaFailure:
 
     def test_two_artifacts(self):
         assert qa_failure(0.5, 2) == 0.75
-
-    def test_zero_cardinality_rejected(self):
-        with pytest.raises(InputContractError):
-            qa_failure(0.5, 0)
 
     @given(
         st.floats(0.0, 0.99), st.floats(0.0, 0.99), st.integers(1, 50), st.integers(1, 50)
@@ -106,6 +112,14 @@ class TestCostGeneral:
         with pytest.raises(InputContractError, match="d2"):
             cost_general(project_e, outcome_e, broken)
 
+    def test_hand_built_outcome_hits_come_from_predicted_artifacts(self, project_e, outcome_e):
+        # s1 alone predicted: d1 is hit and d2 missed, whatever the id sets say
+        claimed = OutcomeSummary(
+            outcome_e.cm, frozenset({"d1", "d2"}), frozenset(), frozenset({"s1"})
+        )
+        inputs = unit_inputs(project_e)
+        assert cost_general(project_e, claimed, inputs) == 11.0
+
 
 class TestCostInit:
     def test_constant_n_to_m(self, project_e, outcome_e):
@@ -133,8 +147,6 @@ class TestCostInit:
             cost_init(project_e, outcome_e, params, CONST_NM)
 
     def test_matches_general_model_on_all_six_kinds(self, rng):
-        from defectcost import random_prediction, random_project
-
         for _ in range(50):
             project = random_project(rng)
             prediction = random_prediction(project, rng)
@@ -161,7 +173,7 @@ class TestCostInit:
     def test_affine_in_cost_ratio(self, project_e, outcome_e):
         p_qf = 0.3
         slope = len(outcome_e.missed_defects) + sum(
-            qa_failure(p_qf, len(d.members))
+            cost_reference.qa_failure(p_qf, len(d.members))
             for d in project_e.defects
             if d.id in outcome_e.predicted_defects
         )
@@ -172,8 +184,6 @@ class TestCostInit:
         assert slope >= 0
 
     def test_degeneration_across_views(self, rng):
-        from defectcost import Artifact, Defect, Project, random_prediction
-
         # every defect touches exactly one artifact, some artifacts twice
         project = Project(
             "deg",
@@ -213,8 +223,6 @@ class TestCostRandom:
         assert cost_random(project_e, 0.5, params) == 14.0
 
     def test_endpoints_general(self, rng):
-        from defectcost import random_project
-
         for _ in range(25):
             project = random_project(rng)
             c = float(rng.uniform(0.5, 20.0))
@@ -230,7 +238,8 @@ class TestCostRandom:
                     else len(project.artifacts)
                 )
                 escaped = sum(
-                    qa_failure(p_qf, len(d.members)) * c for d in project.defects
+                    cost_reference.qa_failure(p_qf, len(d.members)) * c
+                    for d in project.defects
                 )
                 assert everything == pytest.approx(qa_total + escaped, abs=1e-9)
 
@@ -279,6 +288,26 @@ class TestParamValidation:
 
 class TestAgainstReference:
     """The kernel-based costs against the per-view routes in ``cost_reference``."""
+
+    def test_general_model_bitwise(self, rng):
+        """``induced_inputs`` and ``cost_general`` against the object-walking routes, for
+        outcomes classified on the view priced, on an equal view built apart (its
+        artifacts reversed), and built by hand from a classified outcome's id sets."""
+        for view, outcome, params, _ in priced_cases(rng, 300):
+            inputs = induced_inputs(view, params)
+            assert repr(inputs) == repr(cost_reference.induced_inputs(view, params))
+            twin = Project(view.id, view.artifacts[::-1], view.defects, view.relationship)
+            picked = outcome.predicted_artifacts
+            prediction = Prediction({f: int(f in picked) for f in view._file_ids})
+            by_hand = OutcomeSummary(
+                outcome.cm,
+                outcome.predicted_defects,
+                outcome.missed_defects,
+                outcome.predicted_artifacts,
+            )
+            for priced in (outcome, classify(twin, prediction), by_hand):
+                cost = cost_general(view, priced, inputs)
+                assert repr(cost) == repr(cost_reference.cost_general(view, priced, inputs))
 
     def test_cost_random_bitwise(self, rng):
         for view, _, params, _ in priced_cases(rng, 500):

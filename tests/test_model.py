@@ -12,28 +12,32 @@ from defectcost import (
     ConfusionMatrix,
     CostParams,
     Defect,
+    GridConfig,
     InputContractError,
     Prediction,
     Project,
     Relationship,
     boundary_interval,
     classify,
+    cost_general,
     cost_init,
     cost_random,
     format_matrix,
+    induced_inputs,
     parse_matrix,
     parse_prediction,
     perfect_prediction,
     precision,
     project_from_aggregates,
     project_view,
-    random_project,
     recall,
+    run_grid,
+    sample_corpus,
     simulate_prediction,
 )
 
 from . import matrix_reference
-from .strategies import labeled_projects, projects
+from .strategies import labeled_projects, projects, random_project
 
 
 def split_by_mask(project):
@@ -345,6 +349,20 @@ class TestArrayBuilt:
             )
 
 
+def count_built(monkeypatch) -> list:
+    """From now on, every ``Artifact`` and ``Defect`` built is appended to the list returned."""
+    built = []
+    for cls in (Artifact, Defect):
+        check = cls.__post_init__
+
+        def counted(self, check=check):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
 class TestObjectFreePath:
     def test_single_prediction_path_builds_no_objects(self, monkeypatch):
         """The single-prediction path runs on arrays: no ``Artifact`` or ``Defect`` is built."""
@@ -353,15 +371,7 @@ class TestObjectFreePath:
         matrix = format_matrix(project)
         labels = simulate_prediction(project, 0.6, 12345).labels
         prediction = "file,label\n" + "".join(f"{f},{label}\n" for f, label in labels.items())
-        built = []
-        for cls in (Artifact, Defect):
-            check = cls.__post_init__
-
-            def counted(self, check=check):
-                built.append(self)
-                check(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        built = count_built(monkeypatch)
         parsed = parse_matrix(matrix, project_id=spec.name)
         for kind in ALL_KINDS:
             view = project_view(parsed, kind.relationship)
@@ -371,6 +381,15 @@ class TestObjectFreePath:
             cost_random(view, 0.0, params)
             cost_random(view, 1.0, params)
             boundary_interval(view, outcome, params, kind)
+            cost_general(view, outcome, induced_inputs(view, params))
         assert built == []
         # the objects are still there when asked for, and counted
         assert len(parsed.artifacts) == spec.n_artifacts and len(built) == spec.n_artifacts
+
+    def test_grid_path_builds_no_objects(self, monkeypatch):
+        """``run_grid`` on a corpus project builds no ``Artifact`` or ``Defect``."""
+        project = sample_corpus(seed=2024)[1]
+        built = count_built(monkeypatch)
+        records = run_grid(project, GridConfig(accuracies=(0.3, 0.8), repetitions=3, seed=5))
+        assert len(records) == 2 * 3 * 2 * 6
+        assert built == []

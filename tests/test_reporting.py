@@ -190,6 +190,20 @@ class TestParseRecordsStrict:
             parse_records(f"{header}\n{row}\n{','.join(fields)}\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("bound", BOUNDS)
+    @pytest.mark.parametrize("text", ["1e999", "1e309"])
+    def test_bound_overflowing_to_inf_is_located(self, text, bound):
+        # only the text inf may read as an unbounded boundary; 1e308 is finite
+        header, row = emit_records([record()]).split("\n")[:2]
+        fields = row.split(",")
+        fields[CSV_COLUMNS.index(bound)] = text
+        with pytest.raises(ParseError, match=bound) as err:
+            parse_records(f"{header}\n{row}\n{','.join(fields)}\n")
+        assert err.value.line == 3
+        fields[CSV_COLUMNS.index(bound)] = "1e308"
+        table = parse_records(f"{header}\n{row}\n{','.join(fields)}\n")
+        assert getattr(table, bound)[1] == 1e308
+
     @settings(max_examples=300)
     @given(st.text(alphabet="0123456789.e+-infINFty _\u0664", max_size=8), st.sampled_from(BOUNDS))
     def test_bound_text_as_repr_writes_it(self, text, bound):

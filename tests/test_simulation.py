@@ -24,14 +24,13 @@ from defectcost import (
     emit_records,
     perfect_prediction,
     project_view,
-    random_project,
     run_grid,
     simulate_prediction,
-    splitmix64,
 )
 from defectcost import simulation
 
 from .grid_reference import reference_grid
+from .strategies import random_project
 
 
 def small_project() -> Project:
@@ -45,8 +44,8 @@ def small_project() -> Project:
 class TestSeeding:
     def test_splitmix64_reference_vector(self):
         # first output of the reference SplitMix64 stream seeded with 0
-        assert splitmix64(0) == 16294208416658607535
-        assert splitmix64(1) == 10451216379200822465
+        assert simulation._splitmix64(0) == 16294208416658607535
+        assert simulation._splitmix64(1) == 10451216379200822465
 
     def test_cell_seed_golden_values(self):
         assert cell_seed(0, 0, 0) == 2558736989570252433
