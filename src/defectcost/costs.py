@@ -221,8 +221,13 @@ def _masks(project: Project, outcome: OutcomeSummary) -> tuple[np.ndarray, np.nd
         return outcome._picked, outcome._hit
     index = project.artifact_index
     predicted = outcome.predicted_artifacts
+    try:
+        positions = np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))
+    except KeyError:
+        unknown = min(predicted - index.keys(), key=repr)
+        raise InputContractError(f"unknown artifact {unknown!r} in outcome") from None
     picked = np.zeros(len(project.sizes), dtype=bool)
-    picked[np.fromiter(map(index.__getitem__, predicted), np.intp, len(predicted))] = True
+    picked[positions] = True
     return picked, _defects_hit(project, picked)
 
 

@@ -42,6 +42,7 @@ from .model import _MAX_TOTAL_SIZE, Prediction, Project, Relationship
 
 _UNWRITABLE = frozenset(",\n\r")  # the field and line separators
 _LABELS = {"0": 0, "1": 1}
+_ENDED_LABELS = {"0\n": 0, "1\n": 1}
 _BLOCK = 1 << 20  # characters of matrix cells compared at once
 
 
@@ -235,24 +236,27 @@ def parse_prediction(text: str, project: Project) -> Prediction:
     if not lines or lines[0].split(",") != ["file", "label"]:
         raise ParseError("header must be 'file,label'", line=1, column=1)
     rows = lines[1:]
-    try:
-        labels = dict(map(str.split, rows, repeat(",")))
-    except ValueError:  # a row without exactly two fields
-        labels = {}
     file_ids = project._file_ids
-    if not (
-        len(labels) == len(rows) == len(file_ids)  # no id twice, and as many as files
-        and all(map(labels.__contains__, file_ids))
-        and _LABELS.keys() >= set(labels.values())
-    ):
+    # every row ends in "\n" here, so if there are two fields per row and
+    # every second one is a label and "\n", no row holds more or fewer fields
+    fields = ("\n,".join(rows) + "\n").split(",")
+    texts = fields[1::2]
+    labels = None
+    if len(fields) == 2 * len(rows) == 2 * len(file_ids) and _ENDED_LABELS.keys() >= set(texts):
+        labels = dict(zip(fields[::2], map(_ENDED_LABELS.__getitem__, texts)))
+        if len(labels) < len(rows) or not all(map(labels.__contains__, file_ids)):
+            labels = None  # an id twice, or an unknown one
+    if labels is None:
         labels = _labels_by_row(rows, project)
-    return Prediction(labels=dict(zip(labels, map(_LABELS.__getitem__, labels.values()))))
+    prediction = object.__new__(Prediction)  # the labels are checked: no copy, no check
+    prediction.__dict__["labels"] = labels
+    return prediction
 
 
-def _labels_by_row(rows: list[str], project: Project) -> dict[str, str]:
+def _labels_by_row(rows: list[str], project: Project) -> dict[str, int]:
     """Read the prediction rows one at a time; raises at the first bad row."""
     known = project.artifact_index
-    labels: dict[str, str] = {}
+    labels: dict[str, int] = {}
     for row_number, line in enumerate(rows, start=2):
         fields = line.split(",")
         if len(fields) != 2:
@@ -266,7 +270,7 @@ def _labels_by_row(rows: list[str], project: Project) -> dict[str, str]:
             raise ParseError(f"duplicate row for artifact {file_id!r}", line=row_number, column=1)
         if label not in _LABELS:
             raise ParseError(f"label must be 0 or 1, got {label!r}", line=row_number, column=2)
-        labels[file_id] = label
+        labels[file_id] = _LABELS[label]
     for file_id in project._file_ids:
         if file_id not in labels:
             raise ParseError(f"unlabeled artifact {file_id!r}")

@@ -35,6 +35,7 @@ from .errors import InputContractError, _shown
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
 _MAX_TOTAL_SIZE = 2**53
+_BINARY = frozenset((0, 1))
 
 
 class Relationship(Enum):
@@ -223,11 +224,16 @@ class Prediction:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", dict(self.labels))
-        for artifact_id, label in self.labels.items():
-            if label not in (0, 1):
-                raise InputContractError(
-                    f"label for artifact {artifact_id!r} is {label!r}, must be 0 or 1"
-                )
+        try:
+            binary = _BINARY.issuperset(self.labels.values())
+        except TypeError:  # an unhashable label
+            binary = False
+        if not binary:  # then name the first label that is not 0 or 1, if one is not
+            for artifact_id, label in self.labels.items():
+                if label not in (0, 1):
+                    raise InputContractError(
+                        f"label for artifact {artifact_id!r} is {label!r}, must be 0 or 1"
+                    )
 
 
 @dataclass(frozen=True)

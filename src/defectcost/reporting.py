@@ -323,6 +323,17 @@ def _csv_chunks(text: str):
         yield numbers, columns, (line.split(",") for line in chunk)
 
 
+class _TooLarge(str):
+    """A JSON number that overflows a float, kept as its text: no field accepts it."""
+
+    __repr__ = str.__str__
+
+
+def _json_float(text: str):
+    value = float(text)
+    return _TooLarge(text) if math.isinf(value) else value
+
+
 def _json_fields(row, line: int) -> list[str]:
     """A JSON record's values as the record CSV writes them, after checking their JSON types."""
     if not isinstance(row, dict):
@@ -343,7 +354,7 @@ def _json_fields(row, line: int) -> list[str]:
 def _json_chunks(text: str):
     """(row numbers, columns, rows) of a JSON array of records, in one chunk."""
     try:
-        document = json.loads(text)
+        document = json.loads(text, parse_float=_json_float)
     except (ValueError, RecursionError) as error:
         raise ParseError(f"bad record JSON: {error}") from None
     if not isinstance(document, list):
@@ -368,7 +379,8 @@ def parse_records(text: str, format: str = "csv") -> RecordTable:
     written the way ``emit_records`` writes it: a count or repetition other
     than ASCII ``0`` or ``[1-9][0-9]*``, a float with a character other than
     the digits, ``.``, ``e``, ``+`` and ``-`` that ``repr`` uses, and an
-    unbounded boundary other than the text ``inf``.  ``ParseError.line`` is
+    unbounded boundary other than the text ``inf`` (in JSON, a number such
+    as ``1e999`` that overflows a float).  ``ParseError.line`` is
     the line in the CSV text, counting blank lines, or the 1-based position
     of the record in the JSON array.
     """

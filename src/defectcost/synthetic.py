@@ -5,16 +5,24 @@ defective-artifact count, defect count, mean defect spread, and mean file size
 match a target aggregate exactly (counts) or to rounding (means).
 ``SAMPLE_AGGREGATES`` lists the aggregates of fifteen open-source Java
 projects, giving realistically shaped data without shipping any real data.
+
+A project is a pure function of its spec and seed, and the sequence of draws
+made from the numpy ``Generator`` is part of that contract: a ``Generator``
+passed in is left in the same state for the same spec.  The bookkeeping is
+done once per draw, so the cost is linear in files plus member slots, with
+an O(log defects) factor on each draw that places a slot.  A spec that
+cannot be met is rejected before any draw.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputContractError
-from .model import Project, Relationship, _check_total_size, _csr
+from .errors import InputContractError, _shown
+from .model import Project, Relationship, _check_total_size
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,8 @@ SAMPLE_AGGREGATES: tuple[AggregateSpec, ...] = (
 
 def _sizes_with_total(rng: np.random.Generator, n: int, target_total: int) -> np.ndarray:
     """Positive integer sizes with an exact total, drawn from a skewed distribution."""
-    if target_total < n:
-        raise InputContractError(f"cannot place total size {target_total} on {n} files")
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
     raw = rng.lognormal(mean=0.0, sigma=0.8, size=n)
     sizes = np.maximum(1, np.rint(raw * (target_total / raw.sum())).astype(np.int64))
     diff = target_total - int(sizes.sum())
@@ -69,6 +77,90 @@ def _sizes_with_total(rng: np.random.Generator, n: int, target_total: int) -> np
     return sizes
 
 
+def _is_finite(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _checked(spec: AggregateSpec) -> tuple[int, int, int, int, int]:
+    """A spec's file, defective-file and defect counts, total member slots and
+    total size, if the spec can be met."""
+    if not isinstance(spec.name, str):
+        raise InputContractError(f"name must be a string, got {spec.name!r}")
+    for name in ("n_artifacts", "n_defective", "n_defects"):
+        value = getattr(spec, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise InputContractError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise InputContractError(f"{name} must be >= 0, got {_shown(value)}")
+    for name in ("mean_members", "mean_size"):
+        if not _is_finite(getattr(spec, name)):
+            raise InputContractError(
+                f"{name} must be a finite number, got {_shown(getattr(spec, name))}"
+            )
+    n_files, n_defective, n_defects = (
+        int(spec.n_artifacts), int(spec.n_defective), int(spec.n_defects)
+    )
+    if n_defective > n_files:
+        raise InputContractError("n_defective cannot exceed n_artifacts")
+    slots, size = spec.mean_members * n_defects, spec.mean_size * n_files
+    if not (_is_finite(slots) and _is_finite(size)):
+        raise InputContractError(f"the member slots or total size of {spec.name!r} overflow")
+    total_slots, total_size = int(round(slots)), int(round(size))
+    if total_slots < max(n_defects, n_defective):
+        raise InputContractError(
+            f"{total_slots} member slots cannot cover {n_defects} defects "
+            f"and {n_defective} defective files"
+        )
+    if total_slots > n_defects * n_defective:
+        raise InputContractError(
+            f"{total_slots} member slots exceed the {n_defects * n_defective} "
+            f"that {n_defects} defects over {n_defective} defective files can hold"
+        )
+    _check_total_size(spec.name, total_size)
+    if total_size < n_files:
+        raise InputContractError(f"cannot place total size {total_size} on {n_files} files")
+    return n_files, n_defective, n_defects, total_slots, total_size
+
+
+def _draw_open(
+    rng: np.random.Generator, tally: list[int], caps: list[int], draws: int
+) -> list[int]:
+    """Make ``draws`` draws, each of a position as ``rng.choice(np.flatnonzero(tally <
+    caps))`` would draw it, and add one to its tally; the positions drawn.
+
+    A Fenwick tree over the open positions finds a drawn position, and closes
+    one that reaches its cap, in O(log n) steps."""
+    n = len(tally)
+    tree = [0, *(int(t < c) for t, c in zip(tally, caps))]
+    open_count = sum(tree)
+    for i in range(1, n + 1):
+        parent = i + (i & -i)
+        if parent <= n:
+            tree[parent] += tree[i]
+    top = 1 << n.bit_length() >> 1
+    drawn = []
+    for _ in range(draws):
+        # rng.choice(a) draws a[rng.integers(0, len(a))]: the rank-th open position
+        rank, position, step = int(rng.integers(0, open_count)), 0, top
+        while step:
+            if position + step <= n and tree[position + step] <= rank:
+                position += step
+                rank -= tree[position]
+            step >>= 1
+        drawn.append(position)
+        tally[position] += 1
+        if tally[position] == caps[position]:
+            open_count -= 1
+            i = position + 1
+            while i <= n:
+                tree[i] -= 1
+                i += i & -i
+    return drawn
+
+
 def project_from_aggregates(
     spec: AggregateSpec, seed: int | np.random.Generator = 0
 ) -> Project:
@@ -77,52 +169,63 @@ def project_from_aggregates(
     The artifact and defect counts match exactly; the total defect spread is
     the rounded product mean_members * n_defects; every defective artifact is
     covered by at least one defect; file sizes sum to the rounded product
-    mean_size * n_artifacts.
+    mean_size * n_artifacts.  A spec that cannot be met raises
+    ``InputContractError`` before any draw.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if spec.n_defective > spec.n_artifacts:
-        raise InputContractError("n_defective cannot exceed n_artifacts")
-    total_slots = int(round(spec.mean_members * spec.n_defects))
-    if spec.n_defects and total_slots < max(spec.n_defects, spec.n_defective):
-        raise InputContractError(
-            f"{total_slots} member slots cannot cover {spec.n_defects} defects "
-            f"and {spec.n_defective} defective files"
-        )
-    total_size = int(round(spec.mean_size * spec.n_artifacts))
-    _check_total_size(spec.name, total_size)
-    sizes = _sizes_with_total(rng, spec.n_artifacts, total_size)
-    file_ids = tuple(f"{spec.name}/f{i:04d}" for i in range(spec.n_artifacts))
-    defective = rng.permutation(spec.n_artifacts)[: spec.n_defective]
-    defective_ids = [file_ids[i] for i in defective]
+    n_files, n_defective, n_defects, total_slots, total_size = _checked(spec)
+    sizes = _sizes_with_total(rng, n_files, total_size)
+    file_ids = tuple(f"{spec.name}/f{i:04d}" for i in range(n_files))
+    defective = rng.permutation(n_files)[:n_defective]
+    # defective files by id, the order the fill pools are drawn in (as text,
+    # so "f10000" comes before "f9999"); rank[k] is defective[k]'s place in it
+    by_id = np.array(
+        sorted(range(n_defective), key=[file_ids[i] for i in defective].__getitem__),
+        dtype=np.int64,
+    )
+    rank = np.empty(n_defective, dtype=np.int64)
+    rank[by_id] = np.arange(n_defective)
 
     # one slot per defect first, then spread the remaining slots at random,
     # capped so no defect can exceed the defective population
-    counts = np.ones(spec.n_defects, dtype=np.int64)
-    for _ in range(total_slots - spec.n_defects):
-        open_defects = np.flatnonzero(counts < spec.n_defective)
-        counts[rng.choice(open_defects)] += 1
+    counts = [1] * n_defects
+    _draw_open(rng, counts, [n_defective] * n_defects, total_slots - n_defects)
 
-    members: list[set[str]] = [set() for _ in range(spec.n_defects)]
-    if spec.n_defects:
-        # cover every defective artifact, then fill the leftover capacity
-        for artifact_id in rng.permutation(np.array(defective_ids, dtype=object)):
-            free = np.flatnonzero(counts > np.array([len(m) for m in members]))
-            members[rng.choice(free)].add(str(artifact_id))
-        for j in range(spec.n_defects):
-            missing = int(counts[j]) - len(members[j])
-            if missing > 0:
-                pool = np.array(sorted(set(defective_ids) - members[j]), dtype=object)
-                for artifact_id in rng.choice(pool, size=missing, replace=False):
-                    members[j].add(str(artifact_id))
-    index = dict(zip(file_ids, range(spec.n_artifacts)))
+    # cover every defective artifact, in a random order, by a defect with room left
+    filled = [0] * n_defects
+    cover_rank = rank[rng.permutation(n_defective)]
+    cover_owner = np.array(_draw_open(rng, filled, counts, n_defective), dtype=np.int64)
+    # then fill each defect's leftover capacity from the defective files it
+    # lacks, drawn as positions into that pool
+    needy = [j for j in range(n_defects) if counts[j] > filled[j]]
+    missing = [counts[j] - filled[j] for j in needy]
+    fill_owner = np.repeat(np.array(needy, dtype=np.int64), missing)
+    pools = [n_defective - filled[j] for j in needy]
+    fill_at = np.concatenate([
+        np.zeros(0, dtype=np.int64),
+        *(rng.choice(pool, size=m, replace=False) for pool, m in zip(pools, missing)),
+    ])
+    # pool position p of defect j is rank p + c, where c counts the ranks r of
+    # j's cover that precede it: the i-th of them (ascending) does if r - i <= p
+    width = n_defective + 1
+    cover_starts = np.cumsum([0, *filled], dtype=np.int64)
+    covers = np.sort(cover_owner * width + cover_rank)
+    covers -= np.arange(len(covers)) - cover_starts[covers // width]
+    preceding = np.searchsorted(covers, fill_owner * width + fill_at, side="right")
+    fill_rank = fill_at + preceding - cover_starts[fill_owner]
+
+    # each defect's member positions, ascending
+    owners = np.concatenate([cover_owner, fill_owner])
+    positions = defective[by_id][np.concatenate([cover_rank, fill_rank])]
+    indices = np.sort(owners * n_files + positions) % n_files
     return Project._from_arrays(
         spec.name,
         Relationship.N_TO_M,
         file_ids,
         sizes,
-        *_csr([sorted(map(index.__getitem__, m)) for m in members]),
-        _defect_ids=tuple(f"{spec.name}-d{j:04d}" for j in range(spec.n_defects)),
-        artifact_index=index,
+        indices,
+        np.cumsum([0, *counts], dtype=np.int64),
+        _defect_ids=tuple(f"{spec.name}-d{j:04d}" for j in range(n_defects)),
     )
 
 

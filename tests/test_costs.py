@@ -120,6 +120,14 @@ class TestCostGeneral:
         inputs = unit_inputs(project_e)
         assert cost_general(project_e, claimed, inputs) == 11.0
 
+    def test_hand_built_outcome_naming_unknown_artifact(self, project_e, outcome_e):
+        outcome = OutcomeSummary(outcome_e.cm, frozenset(), frozenset({"d1"}), frozenset({"zz"}))
+        params = CostParams()
+        with pytest.raises(InputContractError, match="unknown artifact 'zz' in outcome"):
+            cost_init(project_e, outcome, params, ALL_KINDS[0])
+        with pytest.raises(InputContractError, match="unknown artifact 'zz' in outcome"):
+            cost_general(project_e, outcome, unit_inputs(project_e))
+
 
 class TestCostInit:
     def test_constant_n_to_m(self, project_e, outcome_e):

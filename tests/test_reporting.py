@@ -547,6 +547,16 @@ class TestStrictRecordJson:
             parse_records(_json_rows(**{column: value}), format="json")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("bound", BOUNDS)
+    @pytest.mark.parametrize("number", ["1e999", "-1e400", "1.5e309"])
+    def test_number_overflowing_to_inf_is_located(self, bound, number):
+        # only "inf" (or JSON's Infinity) is an unbounded boundary, as in the CSV
+        text = _json_rows(**{bound: 1.25}).replace("1.25", number)
+        with pytest.raises(ParseError, match=f"{bound}.*{number}") as err:
+            parse_records(text, format="json")
+        assert err.value.line == 2
+        assert getattr(parse_records(_json_rows(**{bound: 1e308}), format="json")[1], bound) == 1e308
+
     def test_unbounded_and_integral_values_accepted(self):
         records = parse_records(_json_rows(lower="inf", upper=math.inf, accuracy=1), format="json")
         assert records[1].lower == records[1].upper == math.inf
