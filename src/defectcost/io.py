@@ -248,9 +248,7 @@ def parse_prediction(text: str, project: Project) -> Prediction:
             labels = None  # an id twice, or an unknown one
     if labels is None:
         labels = _labels_by_row(rows, project)
-    prediction = object.__new__(Prediction)  # the labels are checked: no copy, no check
-    prediction.__dict__["labels"] = labels
-    return prediction
+    return Prediction._from_labels(labels)
 
 
 def _labels_by_row(rows: list[str], project: Project) -> dict[str, int]:

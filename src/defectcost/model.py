@@ -218,7 +218,10 @@ class Project:
 
 @dataclass(frozen=True)
 class Prediction:
-    """A total binary labeling of artifacts: 1 = predicted defective, 0 = clean."""
+    """A total binary labeling of artifacts: 1 = predicted defective, 0 = clean.
+
+    ``Prediction(...)`` copies and checks its labels; library code whose
+    labels are already checked builds one with ``Prediction._from_labels``."""
 
     labels: Mapping[str, int]
 
@@ -234,6 +237,14 @@ class Prediction:
                     raise InputContractError(
                         f"label for artifact {artifact_id!r} is {label!r}, must be 0 or 1"
                     )
+
+    @classmethod
+    def _from_labels(cls, labels: dict) -> Prediction:
+        """A prediction holding ``labels`` itself; the caller guarantees a dict
+        whose labels are all 0 or 1."""
+        prediction = object.__new__(cls)
+        prediction.__dict__["labels"] = labels
+        return prediction
 
 
 @dataclass(frozen=True)
@@ -395,9 +406,11 @@ def recall(cm: ConfusionMatrix) -> float | None:
 def perfect_prediction(project: Project) -> Prediction:
     """The indicator labeling of the defective artifacts."""
     mask = project.defective_mask
-    return Prediction(labels=dict(zip(project._file_ids, map(int, mask.tolist()))))
+    return Prediction._from_labels(dict(zip(project._file_ids, map(int, mask.tolist()))))
 
 
 def constant_prediction(project: Project, label: int) -> Prediction:
     """Label every artifact with the same value (predict nothing or everything)."""
-    return Prediction(labels=dict.fromkeys(project._file_ids, label))
+    if label not in (0, 1):
+        raise InputContractError(f"label must be 0 or 1, got {label!r}")
+    return Prediction._from_labels(dict.fromkeys(project._file_ids, label))

@@ -1,14 +1,12 @@
-"""Record serialization, trend summaries, and SVG scatter plots.
+"""Record CSV, trend summaries, and SVG scatter plots.
 
-Records round-trip losslessly: floats are written with the shortest decimal
-that reads back to the same value, an unbounded boundary is written as the
-literal ``inf``, and an undefined metric becomes an empty CSV field (``null``
-in JSON).
+Records round-trip losslessly through record CSV: floats are written with the
+shortest decimal that reads back to the same value, an unbounded boundary is
+written as the literal ``inf``, and an undefined metric becomes an empty field.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -44,13 +42,7 @@ BOUNDS = ("lower", "upper")
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "inf" if value == math.inf else repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _csv_text(table: RecordTable) -> str:
@@ -87,33 +79,16 @@ def _csv_text(table: RecordTable) -> str:
     return "\n".join(lines)
 
 
-def _json_text(table: RecordTable) -> str:
-    rows = []
-    for c, s, lo, up, saving in zip(
-        table.cell, table.setting, table.lower, table.upper, table.cost_saving
-    ):
-        p_qf, kind = table.settings[s]
-        values = (
-            table.project[c], table.accuracy[c], table.repetition[c], p_qf,
-            kind.qa_mode.value, kind.relationship.value,
-            table.tp[c], table.fp[c], table.tn[c], table.fn[c],
-            table.precision[c], table.recall[c],
-            "inf" if lo == math.inf else lo, "inf" if up == math.inf else up, saving,
-        )
-        rows.append(dict(zip(CSV_COLUMNS, values)))
-    return json.dumps(rows, indent=None, separators=(",", ":")) + "\n"
-
-
 def emit_records(records, format: str = "csv") -> str:
-    """Serialize experiment records to CSV or JSON, one row/object per record.
+    """Serialize experiment records to record CSV, one row per record.
 
     ``records`` is a ``run_grid`` table or any iterable of records, which is
-    gathered into the same columns first.  Record CSV has no quoting, so a
-    project id holding a comma or a line break is rejected."""
-    if format not in ("csv", "json"):
-        raise InputContractError(f"unknown format {format!r}, expected 'csv' or 'json'")
-    table = RecordTable.from_records(records)
-    return _csv_text(table) if format == "csv" else _json_text(table)
+    gathered into the same columns first.  ``format`` must be ``"csv"``.
+    Record CSV has no quoting, so a project id holding a comma or a line
+    break is rejected."""
+    if format != "csv":
+        raise InputContractError(f"unknown format {format!r}, expected 'csv'")
+    return _csv_text(RecordTable.from_records(records))
 
 
 def _optional_float(text: str) -> float | None:
@@ -177,21 +152,6 @@ _OWN_FIELDS = ("lower", "upper", "cost_saving")
 # Record CSV is split into fields this many lines at a time, so the field
 # lists of a whole file are never held at once.
 _CHUNK_LINES = 4096
-# The JSON types each record field accepts, the ones emit_records writes; a
-# JSON boolean is not a number, and a JSON float is not a count.
-_NUMBER = (int, float)
-_JSON_TYPES = {
-    "project": (str,),
-    "accuracy": _NUMBER,
-    "repetition": (int,),
-    "p_qf": _NUMBER,
-    "qa_mode": (str,),
-    "relationship": (str,),
-    **{name: (int,) for name in ("tp", "fp", "tn", "fn")},
-    **{name: (*_NUMBER, type(None)) for name in METRICS},
-    **{name: _NUMBER for name in BOUNDS},
-    "cost_saving": (bool,),
-}
 
 
 def _read(name: str, texts) -> list:
@@ -242,7 +202,7 @@ class _KeyNumbers:
 
 
 class _TableReader:
-    """Gathers record fields, as the record CSV writes them, into table columns.
+    """Gathers record CSV lines into table columns.
 
     Each distinct cell and setting is converted and checked once, at its
     first row, and every field is converted a column at a time.  Only when
@@ -257,21 +217,22 @@ class _TableReader:
         self.cell_keys = _KeyNumbers()
         self.setting_keys = _KeyNumbers()
 
-    def add(self, lines, columns, rows) -> None:
-        """Append a chunk of rows read from the lines numbered ``lines``.
+    def add(self, numbers, lines) -> None:
+        """Append the record lines numbered ``numbers``.
 
-        ``columns`` holds the chunk's text fields one sequence per CSV column,
-        or is None when a row has the wrong number of fields; ``rows`` yields
-        each row's fields and is read only to find a bad row."""
+        When every line holds ``len(CSV_COLUMNS)`` fields, the lines are split
+        into fields at once, and each column is a slice of that one list."""
+        width = len(CSV_COLUMNS)
         try:
-            if columns is None:
+            if not set(map(str.count, lines, repeat(",", len(lines)))) <= {width - 1}:
                 raise ValueError("wrong field count")
-            self._append(columns)
+            fields = ",".join(lines).split(",")
+            self._append([fields[i::width] for i in range(width)])
         except ValueError:
-            for line, fields in zip(lines, rows):
-                problem = _row_problem(fields)
+            for number, line in zip(numbers, lines):
+                problem = _row_problem(line.split(","))
                 if problem is not None:
-                    raise ParseError(problem, line=line) from None
+                    raise ParseError(problem, line=number) from None
             raise
 
     def _append(self, columns) -> None:
@@ -297,13 +258,10 @@ class _TableReader:
 
 
 def _csv_chunks(text: str):
-    """(line numbers, columns, rows) of the record lines, ``_CHUNK_LINES`` lines at a time.
+    """(line numbers, lines) of the record lines, ``_CHUNK_LINES`` lines at a time.
 
     Lines are numbered as they stand in the text; blank lines are skipped.
-    Only ``\\n`` and ``\\r\\n`` end a line.  A chunk whose lines all hold
-    ``len(CSV_COLUMNS)`` fields is split into fields at once, and its columns
-    are slices of that one list."""
-    width = len(CSV_COLUMNS)
+    Only ``\\n`` and ``\\r\\n`` end a line."""
     lines = text.replace("\r\n", "\n").split("\n")
     header = next((i for i, line in enumerate(lines) if line), None)
     if header is None or tuple(lines[header].split(",")) != CSV_COLUMNS:
@@ -314,85 +272,31 @@ def _csv_chunks(text: str):
         if "" in chunk:
             numbers = [n for n, line in zip(numbers, chunk) if line]
             chunk = [line for line in chunk if line]
-        if not chunk:
-            continue
-        columns = None
-        if set(map(str.count, chunk, repeat(",", len(chunk)))) <= {width - 1}:
-            fields = ",".join(chunk).split(",")
-            columns = [fields[i::width] for i in range(width)]
-        yield numbers, columns, (line.split(",") for line in chunk)
-
-
-class _TooLarge(str):
-    """A JSON number that overflows a float, kept as its text: no field accepts it."""
-
-    __repr__ = str.__str__
-
-
-def _json_float(text: str):
-    value = float(text)
-    return _TooLarge(text) if math.isinf(value) else value
-
-
-def _json_fields(row, line: int) -> list[str]:
-    """A JSON record's values as the record CSV writes them, after checking their JSON types."""
-    if not isinstance(row, dict):
-        raise ParseError(f"a record must be a JSON object, found {type(row).__name__}", line=line)
-    fields = []
-    for name, types in _JSON_TYPES.items():
-        if name not in row:
-            raise ParseError(f"missing {name!r}", line=line)
-        value = row[name]
-        if name in BOUNDS and value == "inf":
-            value = math.inf
-        if type(value) not in types:
-            raise ParseError(f"bad value for {name!r}: {value!r}", line=line)
-        fields.append(_csv_cell(value))
-    return fields
-
-
-def _json_chunks(text: str):
-    """(row numbers, columns, rows) of a JSON array of records, in one chunk."""
-    try:
-        document = json.loads(text, parse_float=_json_float)
-    except (ValueError, RecursionError) as error:
-        raise ParseError(f"bad record JSON: {error}") from None
-    if not isinstance(document, list):
-        raise ParseError(f"record JSON must be an array, found {type(document).__name__}")
-    rows = [_json_fields(row, i) for i, row in enumerate(document, 1)]
-    columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
-    yield range(1, len(rows) + 1), columns, rows
+        if chunk:
+            yield numbers, chunk
 
 
 def parse_records(text: str, format: str = "csv") -> RecordTable:
     """Read records back from ``emit_records`` output.
 
     Returns a ``RecordTable``: a ``Sequence`` of ``ExperimentRecord`` row
-    views over columns, equal to the list of records that was written.  CSV
-    and JSON take one path: a JSON record's values must have the JSON types
-    ``emit_records`` writes (integer counts and repetition, numbers, a string
-    or ``"inf"`` for a boundary, a boolean ``cost_saving``), and are then
-    read as the CSV fields they would be written as.  A value outside the
-    range the grid produces is rejected: an accuracy, precision or recall
-    outside [0, 1], a ``p_qf`` outside [0, 1), a negative count or
-    repetition, and a negative or ``nan`` boundary.  So is a number not
-    written the way ``emit_records`` writes it: a count or repetition other
-    than ASCII ``0`` or ``[1-9][0-9]*``, a float with a character other than
-    the digits, ``.``, ``e``, ``+`` and ``-`` that ``repr`` uses, and an
-    unbounded boundary other than the text ``inf`` (in JSON, a number such
-    as ``1e999`` that overflows a float).  ``ParseError.line`` is
-    the line in the CSV text, counting blank lines, or the 1-based position
-    of the record in the JSON array.
+    views over columns, equal to the list of records that was written.
+    ``format`` must be ``"csv"``.  A value outside the range the grid
+    produces is rejected: an accuracy, precision or recall outside [0, 1], a
+    ``p_qf`` outside [0, 1), a negative count or repetition, and a negative
+    or ``nan`` boundary.  So is a number not written the way
+    ``emit_records`` writes it: a count or repetition other than ASCII ``0``
+    or ``[1-9][0-9]*``, a float with a character other than the digits,
+    ``.``, ``e``, ``+`` and ``-`` that ``repr`` uses, and an unbounded
+    boundary other than the text ``inf`` (such as ``1e999``, which overflows
+    a float).  ``ParseError.line`` is the line in the text, counting blank
+    lines.
     """
-    if format == "csv":
-        chunks = _csv_chunks(text)
-    elif format == "json":
-        chunks = _json_chunks(text)
-    else:
-        raise InputContractError(f"unknown format {format!r}, expected 'csv' or 'json'")
+    if format != "csv":
+        raise InputContractError(f"unknown format {format!r}, expected 'csv'")
     reader = _TableReader()
-    for lines, columns, rows in chunks:
-        reader.add(lines, columns, rows)
+    for numbers, lines in _csv_chunks(text):
+        reader.add(numbers, lines)
     return reader.table()
 
 

@@ -197,7 +197,7 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     labels = _simulate_labels(
         truth, np.array([accuracy]), generator, np.empty((1, len(truth)))
     )[0].astype(np.int8)
-    return Prediction(labels=dict(zip(project._file_ids, labels.tolist())))
+    return Prediction._from_labels(dict(zip(project._file_ids, labels.tolist())))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,17 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _generator(seed) -> np.random.Generator:
+    """``seed`` itself if it is a ``Generator``, else a new one seeded by it."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InputContractError(
+            f"seed must be a non-negative integer or a Generator, got {_shown(seed)}"
+        )
+    return np.random.default_rng(seed)
+
+
 def _checked(spec: AggregateSpec) -> tuple[int, int, int, int, int]:
     """A spec's file, defective-file and defect counts, total member slots and
     total size, if the spec can be met."""
@@ -170,9 +181,10 @@ def project_from_aggregates(
     the rounded product mean_members * n_defects; every defective artifact is
     covered by at least one defect; file sizes sum to the rounded product
     mean_size * n_artifacts.  A spec that cannot be met raises
-    ``InputContractError`` before any draw.
+    ``InputContractError`` before any draw, and so does a seed that is
+    neither a non-negative integer nor a ``Generator``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _generator(seed)
     n_files, n_defective, n_defects, total_slots, total_size = _checked(spec)
     sizes = _sizes_with_total(rng, n_files, total_size)
     file_ids = tuple(f"{spec.name}/f{i:04d}" for i in range(n_files))
@@ -230,7 +242,8 @@ def project_from_aggregates(
 
 
 def sample_corpus(seed: int = 0) -> list[Project]:
-    """One generated project per entry of ``SAMPLE_AGGREGATES``."""
-    rng = np.random.default_rng(seed)
+    """One generated project per entry of ``SAMPLE_AGGREGATES``; ``seed`` as
+    for ``project_from_aggregates``."""
+    rng = _generator(seed)
     return [project_from_aggregates(spec, rng) for spec in SAMPLE_AGGREGATES]
 

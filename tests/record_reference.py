@@ -6,7 +6,6 @@ per row; ``trend`` scans a list of records for one kind and bins its points
 with ``math.fsum``.
 """
 
-import json
 import math
 
 from defectcost import ConfusionMatrix, ExperimentRecord, InputContractError, ModelKind, ParseError
@@ -39,11 +38,7 @@ def _build_record(row: dict, line: int) -> ExperimentRecord:
     if kind is None:
         raise ParseError(f"unknown model kind {qa_mode!r}/{relationship!r}", line=line)
     saving = row["cost_saving"]
-    if isinstance(saving, str):
-        if saving not in ("true", "false"):
-            raise ParseError(f"bad value for 'cost_saving': {saving!r}", line=line)
-        saving = saving == "true"
-    elif not isinstance(saving, bool):
+    if saving not in ("true", "false"):
         raise ParseError(f"bad value for 'cost_saving': {saving!r}", line=line)
     # the ranges GridConfig accepts; the comparisons also reject nan
     accuracy = number("accuracy", float)
@@ -71,17 +66,12 @@ def _build_record(row: dict, line: int) -> ExperimentRecord:
         recall=optional_float("recall"),
         lower=bound("lower"),
         upper=bound("upper"),
-        cost_saving=saving,
+        cost_saving=saving == "true",
     )
 
 
-def reference_parse_records(text: str, format: str = "csv") -> list[ExperimentRecord]:
-    """The records of ``parse_records(text, format)``, as a list, one row at a time."""
-    if format == "json":
-        rows = json.loads(text)
-        return [_build_record(row, line=i + 1) for i, row in enumerate(rows)]
-    if format != "csv":
-        raise InputContractError(f"unknown format {format!r}, expected 'csv' or 'json'")
+def reference_parse_records(text: str) -> list[ExperimentRecord]:
+    """The records of ``parse_records(text)``, as a list, one row at a time."""
     lines = [line for line in text.replace("\r\n", "\n").split("\n") if line != ""]
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise ParseError("bad record CSV header", line=1)

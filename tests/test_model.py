@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectcost import (
     ALL_KINDS,
@@ -19,6 +20,7 @@ from defectcost import (
     Relationship,
     boundary_interval,
     classify,
+    constant_prediction,
     cost_general,
     cost_init,
     cost_random,
@@ -270,8 +272,13 @@ class TestInvariantEnforcement:
             )
 
     def test_prediction_labels_binary(self):
-        with pytest.raises(InputContractError):
+        with pytest.raises(InputContractError, match="label for artifact 'a' is 2, must be 0 or 1"):
             Prediction({"a": 2})
+
+    def test_constant_label_checked_without_artifacts(self):
+        for project in (Project("p", (), ()), Project("q", (Artifact("a", 1),), ())):
+            with pytest.raises(InputContractError, match="must be 0 or 1"):
+                constant_prediction(project, 7)
 
     @pytest.mark.parametrize("sizes", [[2**53, 1], [2**70], [7, 2**53 - 7, 1]])
     def test_total_size_at_most_2_53(self, sizes):
@@ -283,6 +290,36 @@ class TestInvariantEnforcement:
     def test_generated_total_size_at_most_2_53(self):
         with pytest.raises(InputContractError, match="total size above 2\\^53"):
             project_from_aggregates(AggregateSpec("big", 2, 0, 0, 0.0, 2.0**60))
+
+
+
+class TestCheckedLabels:
+    @settings(max_examples=40, deadline=None)
+    @given(labeled_projects(), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+    def test_library_predictions_equal_checked_ones(self, case, accuracy, seed):
+        project, prediction = case
+        file_ids = [a.id for a in project.artifacts]
+        text = "file,label\n" + "".join(f"{i},{v}\n" for i, v in prediction.labels.items())
+        defective = {m for d in project.defects for m in d.members}
+        cases = [
+            (simulate_prediction(project, accuracy, seed), None),
+            (perfect_prediction(project), {i: int(i in defective) for i in file_ids}),
+            (parse_prediction(text, project), prediction.labels),
+            (constant_prediction(project, 0), dict.fromkeys(file_ids, 0)),
+            (constant_prediction(project, 1), dict.fromkeys(file_ids, 1)),
+        ]
+        for result, labels in cases:
+            assert type(result) is Prediction
+            assert result == Prediction(result.labels if labels is None else labels)
+            assert sorted(result.labels) == sorted(file_ids)
+            assert all(type(label) is int for label in result.labels.values())
+
+    def test_public_constructor_copies(self):
+        labels = {"a": 1, "b": 0}
+        prediction = Prediction(labels)
+        labels["a"] = 0
+        labels["c"] = 2
+        assert prediction.labels == {"a": 1, "b": 0}
 
 
 def same_project(built, reference):

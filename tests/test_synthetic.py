@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defectcost import AggregateSpec, InputContractError, parse_matrix, project_from_aggregates
+from defectcost import (
+    AggregateSpec,
+    InputContractError,
+    parse_matrix,
+    project_from_aggregates,
+    sample_corpus,
+)
 from defectcost.synthetic import SAMPLE_AGGREGATES
 
 from . import synthetic_reference
@@ -144,6 +150,13 @@ class TestRejectedSpecs:
     def test_numpy_integer_counts_accepted(self):
         spec = AggregateSpec("np", np.int64(30), np.int64(4), np.int64(3), 2.0, 9.0)
         reference = AggregateSpec("np", 30, 4, 3, 2.0, 9.0)
-        assert arrays(project_from_aggregates(spec, 1)) == arrays(
+        assert arrays(project_from_aggregates(spec, np.uint64(1))) == arrays(
             project_from_aggregates(reference, 1)
         )
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), -(2**70), 1.5, "3", True, None], ids=repr)
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InputContractError, match="seed must be a non-negative integer"):
+            project_from_aggregates(AggregateSpec("a", 10, 2, 2, 1.5, 5.0), seed)
+        with pytest.raises(InputContractError, match="seed must be a non-negative integer"):
+            sample_corpus(seed)
