@@ -406,7 +406,7 @@ def recall(cm: ConfusionMatrix) -> float | None:
 def perfect_prediction(project: Project) -> Prediction:
     """The indicator labeling of the defective artifacts."""
     mask = project.defective_mask
-    return Prediction._from_labels(dict(zip(project._file_ids, map(int, mask.tolist()))))
+    return Prediction._from_labels(dict(zip(project._file_ids, mask.astype(np.int8).tolist())))
 
 
 def constant_prediction(project: Project, label: int) -> Prediction:

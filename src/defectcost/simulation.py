@@ -20,7 +20,8 @@ the SplitMix64 finalizer:
 
 so results are a pure function of the inputs, independent of evaluation
 order.  ``simulate_prediction`` seeds ``np.random.PCG64(cell_seed)`` itself;
-``run_grid`` derives the same seeded (state, inc) of every cell at once
+``run_grid`` derives every cell's seed at once, as uint64 array arithmetic
+(``_cell_seeds``), and from those the seeded (state, inc) of every cell
 (``_pcg64_states``: numpy's ``SeedSequence`` hash, NEP 19, then the PCG64
 seeding step of M. E. O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number Generation",
@@ -31,6 +32,14 @@ probabilities and model kinds, which isolates their effect from sampling
 noise.  Records come in canonical order: by accuracy value, repetition, p_qf
 and kind, with cells of equal accuracy values in grid order within each
 (repetition, p_qf, kind).
+
+Which terms read which files
+----------------------------
+``run_grid`` reduces each labeling to QA spent under each QA mode, true
+positives, predicted (defect, artifact) incidence pairs and the escape weight
+of the predicted and the missed defects.  Only the QA sums read every file.
+The other terms come from the defective files alone, usually a small minority
+of a project, since a clean file adds to none of them.
 """
 
 from __future__ import annotations
@@ -72,6 +81,22 @@ def cell_seed(master_seed: int, accuracy_index: int, repetition_index: int) -> i
     mixed = _splitmix64(mixed ^ (accuracy_index & _MASK64))
     mixed = _splitmix64(mixed ^ (repetition_index & _MASK64))
     return mixed
+
+
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` of every word of a uint64 array; array arithmetic wraps
+    modulo 2^64 silently, where numpy scalar arithmetic would warn."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _cell_seeds(master_seed: int, n_accuracies: int, repetitions: int) -> np.ndarray:
+    """``cell_seed(master_seed, a, r)`` of every cell ``a * repetitions + r``, at once."""
+    mixed = _splitmix64_array(np.array([master_seed], dtype=np.uint64))
+    mixed = _splitmix64_array(mixed ^ np.arange(n_accuracies, dtype=np.uint64))
+    return _splitmix64_array(mixed[:, None] ^ np.arange(repetitions, dtype=np.uint64)).ravel()
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -136,32 +161,11 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
 
 
 def _simulate_labels(
-    truth: np.ndarray,
-    accuracies: np.ndarray,
-    generator: np.random.Generator,
-    out: np.ndarray,
-    states: Sequence[tuple[int, int]] | None = None,
+    truth: np.ndarray, accuracy: float, generator: np.random.Generator
 ) -> np.ndarray:
-    """Predicted-defective flags, one labeling per row of the float64 ``out``.
-
-    Row ``i`` keeps each true label with probability ``accuracies[i]`` and flips
-    it otherwise.  Its uniforms are drawn by ``generator`` after its PCG64 bit
-    generator is set to ``states[i]``, a (state, inc) pair; without ``states``,
-    ``out`` has one row, drawn from the generator as it stands.
-    """
-    if states is None:
-        generator.random(out=out[0])
-    else:
-        bitgen = generator.bit_generator
-        for row, (state, inc) in zip(out, states):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            generator.random(out=row)
-    return np.equal(out < accuracies[:, None], truth, out=out)
+    """Predicted-defective flags: each true label is kept with probability
+    ``accuracy`` and flipped otherwise, by one uniform from ``generator`` per file."""
+    return (generator.random(len(truth)) < accuracy) == truth
 
 
 def _is_int(value) -> bool:
@@ -194,9 +198,7 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
         )
     truth = project.defective_mask
     generator = np.random.Generator(np.random.PCG64(cell_seed))
-    labels = _simulate_labels(
-        truth, np.array([accuracy]), generator, np.empty((1, len(truth)))
-    )[0].astype(np.int8)
+    labels = _simulate_labels(truth, accuracy, generator).astype(np.int8)
     return Prediction._from_labels(dict(zip(project._file_ids, labels.tolist())))
 
 
@@ -305,8 +307,10 @@ class RecordTable(Sequence):
             "setting": [
                 setting_index.setdefault((r.p_qf, r.kind), len(setting_index)) for r in records
             ],
-            "lower": [r.lower for r in records],
-            "upper": [r.upper for r in records],
+            # floats, as run_grid and parse_records store them, so that a numpy
+            # float boundary is written as the decimal the parser reads back
+            "lower": [float(r.lower) for r in records],
+            "upper": [float(r.upper) for r in records],
             "cost_saving": [r.cost_saving for r in records],
         }
         return cls(cells, list(setting_index), rows)
@@ -356,39 +360,56 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
     Returns the (cells, 4) label sums [QA spent per ``QAMode`` (``qa_cost_vector``),
     true positives, predicted (defect, artifact) incidence pairs] and the (cells,
     2, p_qf values) n-m escape weights ``_powers`` summed over the defects that
-    ``_defects_hit`` finds predicted and over the missed ones.  Label rows are
-    stacked into blocks and reduced with matrix products; the integer sums are
-    exact in float64.
+    ``_defects_hit`` finds predicted and over the missed ones.
+
+    Cells are drawn in blocks of label rows.  Only two steps read every file:
+    the uniforms are thresholded in place into 0/1 "kept" flags, and one
+    two-column product gives QA spent, ``clean totals + kept @ signed``, where
+    ``signed`` is each file's QA cost negated on the clean files (a clean file
+    is predicted when flipped, a defective one when kept).  The true positives,
+    incidence pairs and defect hits read only the defective files, where kept
+    is the label.  The four sums are integers, exact in float64 in any order;
+    the escape weights are reduced per block as the block rule sets them.
     """
     n = len(project.sizes)
     truth = project.defective_mask
-    qa = (qa_cost_vector(project, mode) for mode in QAMode)  # freed once stacked
-    columns = np.column_stack([*qa, truth, np.bincount(project._member_csr[0], minlength=n)])
+    defective = np.flatnonzero(truth)
+    clean = ~truth[:, None]
+    signed = np.empty((n, len(QAMode)))
+    for column, mode in enumerate(QAMode):
+        signed[:, column] = qa_cost_vector(project, mode)
+    clean_totals = signed.sum(axis=0, where=clean)
+    np.negative(signed, out=signed, where=clean)
+    members = np.bincount(project._member_csr[0], minlength=n)[defective]
+    counts = np.column_stack([np.ones(len(defective)), members])
     cards = project.defect_cardinalities
     escape = np.column_stack([_powers(1.0 - p, cards) for p in config.p_qf_values])
     repetitions = config.repetitions
     n_cells = len(config.accuracies) * repetitions
-    sums = np.empty((n_cells, columns.shape[1]))
+    sums = np.empty((n_cells, 4))
     escaped = np.empty((n_cells, 2, len(config.p_qf_values)))
     block = max(1, min(_BLOCK_CELLS, _BLOCK_LABELS // max(n, 1)))
-    labels = np.empty((block, n))
-    # cell_seed(config.seed, a, r), mixing the master seed and each accuracy index once
-    master = _splitmix64(config.seed)
-    states = _pcg64_states([
-        _splitmix64(mixed ^ r)
-        for mixed in (_splitmix64(master ^ a) for a in range(len(config.accuracies)))
-        for r in range(repetitions)
-    ])
-    accuracies = np.repeat(config.accuracies, repetitions)
+    uniforms = np.empty((block, n))
+    states = _pcg64_states(_cell_seeds(config.seed, len(config.accuracies), repetitions))
+    accuracies = np.repeat(config.accuracies, repetitions)[:, None]
     # one generator for every cell; its PCG64 is set to each cell's state in turn
     generator = np.random.Generator(np.random.PCG64(0))
+    bitgen = generator.bit_generator
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
-        rows = _simulate_labels(
-            truth, accuracies[start:stop], generator, labels[: stop - start], states[start:stop]
-        )
-        sums[start:stop] = rows @ columns
-        hit = _defects_hit(project, rows)
+        kept = uniforms[: stop - start]
+        for row, (state, inc) in zip(kept, states[start:stop]):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            generator.random(out=row)
+        np.less(kept, accuracies[start:stop], out=kept)
+        np.add(kept @ signed, clean_totals, out=sums[start:stop, :2])
+        sums[start:stop, 2:] = kept[:, defective] @ counts
+        hit = _defects_hit(project, kept)
         escaped[start:stop, 0] = hit @ escape
         escaped[start:stop, 1] = (1.0 - hit) @ escape
     return sums, escaped

@@ -5,6 +5,10 @@ One cell at a time: draw the labeling, count it, and build one
 all records into canonical order.  The n-m escape weights are summed by
 numpy over the predicted defects, and the missed weight is the total minus
 that sum.
+
+``dense_cell_sums`` keeps the dense kernel that ``simulation._cell_sums``
+replaced: every cell's 0/1 labels, stacked into the same blocks, times one
+column per sum over all files, and the defect hits of the labels.
 """
 
 import math
@@ -21,6 +25,8 @@ from defectcost import (
     precision,
     recall,
 )
+from defectcost.costs import _powers, qa_cost_vector
+from defectcost.model import _defects_hit
 
 
 def _labels(project, accuracy, seed):
@@ -113,3 +119,35 @@ def reference_grid(project, config):
     kind_order = {kind: i for i, kind in enumerate(ALL_KINDS)}
     records.sort(key=lambda r: (r.accuracy, r.repetition, r.p_qf, kind_order[r.kind]))
     return records
+
+
+def dense_cell_sums(project, config, block_cells, block_labels):
+    """The (cells, 4) sums and (cells, 2, p_qf values) escape weights of
+    ``simulation._cell_sums`` under its block rule, from dense label rows:
+    ``labels @ column_stack(QA cost per mode, truth, member count per file)``."""
+    n = len(project.sizes)
+    truth = project.defective_mask
+    columns = np.column_stack(
+        [
+            *(qa_cost_vector(project, mode) for mode in QAMode),
+            truth,
+            np.bincount(project._member_csr[0], minlength=n),
+        ]
+    )
+    cards = project.defect_cardinalities
+    escape = np.column_stack([_powers(1.0 - p, cards) for p in config.p_qf_values])
+    cells = [(a, r) for a in range(len(config.accuracies)) for r in range(config.repetitions)]
+    block = max(1, min(block_cells, block_labels // max(n, 1)))
+    sums, escaped = [], []
+    for start in range(0, len(cells), block):
+        rows = np.array(
+            [
+                _labels(project, config.accuracies[a], cell_seed(config.seed, a, r))
+                for a, r in cells[start : start + block]
+            ],
+            dtype=np.float64,
+        )
+        sums.append(rows @ columns)
+        hit = _defects_hit(project, rows)
+        escaped.append(np.stack([hit @ escape, (1.0 - hit) @ escape], axis=1))
+    return np.concatenate(sums), np.concatenate(escaped)

@@ -3,6 +3,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,15 @@ class TestEmitRecords:
             record(p_qf=0.5, kind=ModelKind(QAMode.SIZE_AWARE, Relationship.ONE_TO_ONE)),
         ]
         assert parse_records(emit_records(records)) == records
+
+    def test_numpy_float_boundaries_round_trip(self):
+        records = [
+            record(lower=np.float64(1.0), upper=np.float64(2.5)),
+            record(accuracy=0.25, lower=np.float64(3.0), upper=np.float64(math.inf)),
+        ]
+        text = emit_records(records)
+        assert text.split("\n")[2].endswith(",3.0,inf,true")
+        assert parse_records(text) == records
 
     def test_grid_round_trip(self, project_e):
         records = run_grid(project_e, GridConfig(accuracies=(0.5,), repetitions=2, seed=4))

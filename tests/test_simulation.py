@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from defectcost import (
     ALL_KINDS,
+    AggregateSpec,
     Artifact,
     CostParams,
     Defect,
@@ -23,13 +26,14 @@ from defectcost import (
     classify,
     emit_records,
     perfect_prediction,
+    project_from_aggregates,
     project_view,
     run_grid,
     simulate_prediction,
 )
 from defectcost import simulation
 
-from .grid_reference import reference_grid
+from .grid_reference import dense_cell_sums, reference_grid
 from .strategies import random_project
 
 
@@ -57,6 +61,11 @@ class TestSeeding:
             cell_seed(7, a, r) for a in range(19) for r in range(100)
         }
         assert len(seeds) == 19 * 100
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_cell_seeds_at_once(self, seed):
+        expected = [cell_seed(seed, a, r) for a in range(19) for r in range(100)]
+        assert simulation._cell_seeds(seed, 19, 100).tolist() == expected
 
 
 def numpy_pcg64_state(seed: int) -> tuple[int, int]:
@@ -364,6 +373,89 @@ class TestAgainstReferenceLoop:
             assert_matches_reference(
                 run_grid(project, config), reference_grid(project, config), rel=1e-12
             )
+
+
+@st.composite
+def grid_cases(draw):
+    """A project that is defect-free, all-defective, one file or mixed, and a small grid."""
+    shape = draw(st.sampled_from(["mixed", "defect-free", "all-defective", "one-file"]))
+    n = 1 if shape == "one-file" else draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n))
+    groups = []
+    if shape != "defect-free":
+        groups = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6))
+    if shape == "all-defective":
+        covered = set().union(*groups)
+        groups += [{i} for i in range(n) if i not in covered]
+    project = Project(
+        "k",
+        tuple(Artifact(f"f{i}", size) for i, size in enumerate(sizes)),
+        tuple(Defect(f"d{j}", frozenset(f"f{i}" for i in g)) for j, g in enumerate(groups)),
+    )
+    config = GridConfig(
+        accuracies=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))),
+        repetitions=draw(st.integers(1, 4)),
+        p_qf_values=tuple(
+            draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
+        ),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return project, config
+
+
+class TestKernelAgainstDense:
+    """``_cell_sums`` against the dense kernel it replaced (tests/grid_reference.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_cases(), st.sampled_from([1, 3]), st.sampled_from([None, 1, 3]))
+    def test_bitwise_equal(self, case, block_cells, labels_per_file):
+        # _BLOCK_LABELS of 1, n and 3n: one cell per block, or up to three
+        project, config = case
+        block_labels = labels_per_file * len(project.sizes) if labels_per_file else 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_BLOCK_CELLS", block_cells)
+            patch.setattr(simulation, "_BLOCK_LABELS", block_labels)
+            got = simulation._cell_sums(project, config)
+        expected = dense_cell_sums(project, config, block_cells, block_labels)
+        for mine, dense in zip(got, expected):
+            assert mine.shape == dense.shape and mine.dtype == dense.dtype
+            assert mine.tobytes() == dense.tobytes()  # signbit of zeros included
+
+
+@pytest.fixture(scope="module")
+def large_project() -> Project:
+    return project_from_aggregates(AggregateSpec("large", 100_000, 2_000, 1_500, 2.5, 100.0), 2024)
+
+
+class TestLargeProject:
+    """The benchmark's 100k-file project: more files than ``_BLOCK_LABELS``, so one
+    cell per block."""
+
+    def test_records_pinned(self, large_project):
+        # sha256 of the records as the dense kernel drew them
+        text = emit_records(run_grid(large_project, GridConfig(repetitions=2, seed=424242)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1edfdff3bc9175da5d40cc00b890ce88a6e3fff49ff60c829bc7cea450043305"
+        )
+
+    def test_traced_peak_stays_flat(self, large_project):
+        # The kernel holds the signed QA columns (2 n-vectors) and one label row
+        # (1); the traced peak of run_grid was 3.34 n-length float64 vectors
+        # (7.0 with the dense (n, 4) column matrix).
+        bound = 4 * 8 * len(large_project.sizes)
+        config = GridConfig(repetitions=1, seed=424242)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_grid(large_project, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < bound
 
 
 class TestRecordTable:
