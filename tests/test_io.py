@@ -60,6 +60,19 @@ class TestParseMatrix:
     def test_crlf_accepted(self, project_e):
         assert parse_matrix(MATRIX_E.replace("\n", "\r\n"), project_id="E") == project_e
 
+    def test_corpus_matrices_across_blocks(self):
+        """Corpus matrices that span several blocks parse as they do in one."""
+        blocks = []
+        for project in sample_corpus(2024):
+            text = format_matrix(project)
+            per_block = defectcost.io._BLOCK // (2 * len(project.defects))
+            blocks.append(-(-len(project.artifacts) // per_block))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(defectcost.io, "_BLOCK", 1 << 30)
+                whole = parse_matrix(text, project_id=project.id)
+            assert parse_matrix(text, project_id=project.id) == whole == project
+        assert max(blocks) > 1
+
     def test_header_only_is_empty_project(self):
         project = parse_matrix("file,loc\n")
         assert project.artifacts == () and project.defects == ()

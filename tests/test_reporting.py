@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defectcost.reporting
 from defectcost import (
     ALL_KINDS,
     Artifact,
@@ -31,6 +32,7 @@ from defectcost.reporting import BOUNDS, CSV_COLUMNS, METRICS
 from defectcost.simulation import RecordTable
 
 from .record_reference import reference_parse_records, reference_trend
+from .strategies import projects
 
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
 
@@ -426,6 +428,31 @@ def _corrupt(line: str, column: str, value: str) -> str:
     return ",".join(fields)
 
 
+@st.composite
+def spaced_grid_texts(draw):
+    """Emitted grid text with blank lines mixed in and at most one field corrupted."""
+    config = GridConfig(
+        accuracies=(0.3, 0.6), repetitions=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99))
+    )
+    project = draw(projects(max_artifacts=5, max_defects=3))
+    lines = emit_records(run_grid(project, config)).split("\n")
+    if draw(st.booleans()):
+        at = draw(st.integers(1, len(lines) - 2))
+        value = draw(st.sampled_from(["x", "", "x,y"]))
+        lines[at] = _corrupt(lines[at], draw(st.sampled_from(CSV_COLUMNS)), value)
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=30)), reverse=True):
+        lines.insert(at, "")
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    """What ``parse`` returns, or the message and line of its ``ParseError``."""
+    try:
+        return parse(text)
+    except ParseError as error:
+        return str(error), error.line
+
+
 class TestParseErrorLines:
     @pytest.mark.parametrize("line", [3, 2_000, 5_000, 9_601])
     def test_bad_row_reported_at_its_own_line(self, project_e, line):
@@ -463,6 +490,22 @@ class TestParseErrorLines:
         with pytest.raises(ParseError, match="tp") as err:
             parse_records("\n".join(spaced))
         assert err.value.line == bad + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(spaced_grid_texts(), st.integers(1, 24))
+    def test_chunks_of_any_size(self, text, chunk_lines):
+        """Records read in chunks of any size give the result of the whole text in one."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(defectcost.reporting, "_CHUNK_LINES", 1 << 30)
+            whole = _outcome(parse_records, text)
+            patch.setattr(defectcost.reporting, "_CHUNK_LINES", chunk_lines)
+            assert _outcome(parse_records, text) == whole
+        expected = _outcome(reference_parse_records, text)
+        if isinstance(whole, RecordTable):
+            assert whole == expected
+        else:
+            # the per-row parser numbers only the lines that are not blank
+            assert expected[1] == len(list(filter(None, text.split("\n")[: whole[1]])))
 
     def test_header_after_blank_lines(self, project_e):
         lines = _grid_csv_lines(project_e, 1)
