@@ -37,8 +37,8 @@ from enum import Enum
 
 import numpy as np
 
-from .costs import CostParams, ModelKind, _check_kind, _powers, _terms
-from .errors import InputContractError, _shown
+from .costs import CostParams, ModelKind, _check_kind, _is_probability, _powers, _terms
+from .errors import _number
 from .model import OutcomeSummary, Project
 
 UNBOUNDED = math.inf
@@ -125,10 +125,9 @@ def theorem_boundary(
     Expected profit is positive iff C * defect_coeff < qa_margin, i.e. iff C
     is below (coefficient positive) or above (negative) the threshold; when
     the coefficient is zero the verdict is independent of C and decided by the
-    sign of qa_margin.
+    sign of qa_margin.  ``p_qa`` is a number in [0, 1].
     """
-    if not 0.0 <= p_qa <= 1.0:
-        raise InputContractError(f"p_qa must be in [0, 1], got {_shown(p_qa)}")
+    p_qa = _number("p_qa", p_qa, "a number in [0, 1]", _is_probability)
     terms = _terms(project, outcome, params)
     covered = _powers(p_qa, project.defect_cardinalities)
     coeff = math.fsum((terms.weight * (covered - terms.hit)).tolist())

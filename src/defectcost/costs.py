@@ -43,7 +43,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InputContractError, _shown
+from .errors import InputContractError, _number
 from .model import OutcomeSummary, Project, Relationship, _defects_hit
 
 
@@ -77,9 +77,17 @@ ALL_KINDS: tuple[ModelKind, ...] = tuple(
 KIND_BY_CODE: dict[str, ModelKind] = {kind.code: kind for kind in ALL_KINDS}
 
 
-def _is_number(value) -> bool:
-    """An int or float (numpy's float64 included) that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_probability(value) -> bool:
+    return 0 <= value <= 1
+
+
+# (name, requirement, test) of each number of CostParams
+_PARAM_RULES = (
+    ("c_ratio", "a finite number > 0", lambda c: c > 0 and math.isfinite(c)),
+    ("p_qf", "a number in [0, 1)", lambda p: 0 <= p < 1),
+    ("c_init", "a finite number >= 0", lambda c: c >= 0 and math.isfinite(c)),
+    ("c_exec", "a finite number >= 0", lambda c: c >= 0 and math.isfinite(c)),
+)
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,9 @@ class CostParams:
     1 so that quality assurance always has a chance to reveal every defect.
     ``c_init`` and ``c_exec`` are the one-time and continuous overheads of
     running the prediction model; the standard initializations set them to 0
-    but every operation honors them.  ``c_ratio``, ``c_init`` and ``c_exec``
-    must be finite.
+    but every operation honors them.  ``c_ratio`` is a finite number > 0,
+    ``p_qf`` a number in [0, 1), and ``c_init`` and ``c_exec`` finite numbers
+    >= 0; each is stored as the equal Python ``int`` or ``float``.
     """
 
     c_ratio: float = 1.0
@@ -103,25 +112,10 @@ class CostParams:
     qa_mode: QAMode = QAMode.CONSTANT
 
     def __post_init__(self):
-        for name in ("c_ratio", "p_qf", "c_init", "c_exec"):
-            if not _is_number(getattr(self, name)):
-                raise InputContractError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name, requirement, test in _PARAM_RULES:
+            object.__setattr__(self, name, _number(name, getattr(self, name), requirement, test))
         if not isinstance(self.qa_mode, QAMode):
             raise InputContractError(f"qa_mode must be a QAMode, got {self.qa_mode!r}")
-        for name in ("c_ratio", "c_init", "c_exec"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                finite, value = False, "an integer too large for a float"
-            if not finite:
-                raise InputContractError(f"{name} must be finite, got {value}")
-        if not self.c_ratio > 0:
-            raise InputContractError(f"c_ratio must be positive, got {self.c_ratio}")
-        if not 0.0 <= self.p_qf < 1.0:
-            raise InputContractError(f"p_qf must be in [0, 1), got {_shown(self.p_qf)}")
-        if self.c_init < 0 or self.c_exec < 0:
-            raise InputContractError("c_init and c_exec must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -265,10 +259,10 @@ def cost_random(project: Project, p_qa: float, params: CostParams) -> float:
     p_qa^|d|) and QA does not fail on it.  With p_qa = 0 this is the cost of no
     quality assurance at all (every defect escapes); with p_qa = 1 it is the
     cost of quality assurance on everything.  The prediction model's own
-    overheads c_init/c_exec do not apply to this baseline.
+    overheads c_init/c_exec do not apply to this baseline.  ``p_qa`` is a
+    number in [0, 1].
     """
-    if not 0.0 <= p_qa <= 1.0:
-        raise InputContractError(f"p_qa must be in [0, 1], got {_shown(p_qa)}")
+    p_qa = _number("p_qa", p_qa, "a number in [0, 1]", _is_probability)
     cards = project.defect_cardinalities
     covered = _powers(p_qa, cards)
     qf = 1.0 - _powers(1.0 - params.p_qf, cards)

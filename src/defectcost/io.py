@@ -61,6 +61,21 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
+def _id_error(what: str, item_id: str, seen: set[str], line: int, column: int) -> ParseError | None:
+    """The error for a ``what`` (file or defect) id that is empty, holds a
+    carriage return or is in ``seen``; else None, and the id joins ``seen``."""
+    if item_id == "":
+        problem = f"empty {what} id"
+    elif "\r" in item_id:
+        problem = f"{what} id {item_id!r} holds a carriage return"
+    elif item_id in seen:
+        problem = f"duplicate {what} id {item_id!r}"
+    else:
+        seen.add(item_id)
+        return None
+    return ParseError(problem, line=line, column=column)
+
+
 def _cell_error(cells: str, row_number: int) -> ParseError:
     """The error for the first cell of a row's cells string that is not ``0`` or ``1``."""
     column, cell = next(
@@ -85,15 +100,8 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     defect_ids = header[2:]
     seen_defects: set[str] = set()
     for j, defect_id in enumerate(defect_ids):
-        if defect_id == "":
-            raise ParseError("empty defect id", line=1, column=3 + j)
-        if "\r" in defect_id:
-            raise ParseError(
-                f"defect id {defect_id!r} holds a carriage return", line=1, column=3 + j
-            )
-        if defect_id in seen_defects:
-            raise ParseError(f"duplicate defect id {defect_id!r}", line=1, column=3 + j)
-        seen_defects.add(defect_id)
+        if error := _id_error("defect", defect_id, seen_defects, 1, 3 + j):
+            raise error
     k = len(defect_ids)
     blank = ",".join("0" * k)  # the only valid cells string, 1s read as 0s
     rows = lines[1:]
@@ -184,16 +192,8 @@ def _row_error(rows: list[str], width: int, blank: str) -> ParseError:
             return ParseError(
                 f"expected {width} fields, found {found}", line=row_number, column=found
             )
-        file_id = fields[0]
-        if file_id == "":
-            return ParseError("empty file id", line=row_number, column=1)
-        if "\r" in file_id:
-            return ParseError(
-                f"file id {file_id!r} holds a carriage return", line=row_number, column=1
-            )
-        if file_id in seen_files:
-            return ParseError(f"duplicate file id {file_id!r}", line=row_number, column=1)
-        seen_files.add(file_id)
+        if error := _id_error("file", fields[0], seen_files, row_number, 1):
+            return error
         size = fields[1]
         if not (size.isascii() and size.isdigit() and size[0] != "0"):
             return ParseError(

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputContractError, _shown
+from .errors import InputContractError, _number
 
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
@@ -48,20 +48,16 @@ class Relationship(Enum):
 
 @dataclass(frozen=True)
 class Artifact:
-    """A unit of software (a file) with a positive integer size in lines of code."""
+    """A unit of software (a file) with a size in lines of code: an integer >= 1,
+    stored as ``int``."""
 
     id: str
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise InputContractError(
-                f"artifact {self.id!r} has size {self.size!r}, must be an integer"
-            )
-        if self.size < 1:
-            raise InputContractError(
-                f"artifact {self.id!r} has size {_shown(self.size)}, must be >= 1"
-            )
+        name = f"the size of artifact {self.id!r}"
+        size = _number(name, self.size, "an integer >= 1", lambda n: n >= 1, integer=True)
+        object.__setattr__(self, "size", size)
 
 
 @dataclass(frozen=True)

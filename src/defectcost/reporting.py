@@ -16,7 +16,7 @@ from itertools import compress, count, repeat
 import numpy as np
 
 from .costs import ALL_KINDS, ModelKind
-from .errors import InputContractError, ParseError, _shown
+from .errors import InputContractError, ParseError, _number
 from .simulation import RecordTable
 
 CSV_COLUMNS = (
@@ -95,14 +95,15 @@ def _optional_float(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
-def _counts_written(texts, values) -> bool:
-    """Whether counts are written as ``str`` writes them: ASCII digits with no
-    leading 0, space, separator or sign other than a minus."""
-    return all(map(operator.eq, map(str, values), texts))
+def _as_written(texts, values) -> bool:
+    """Whether each text is ``_csv_cell`` of its value, as ``emit_records`` writes it:
+    a count in ASCII digits with no leading 0, space, separator or sign other
+    than a minus, and a float as its shortest ``repr``."""
+    return all(map(operator.eq, map(_csv_cell, values), texts))
 
 
 def _floats_written(texts, values) -> bool:
-    """Whether floats hold only the characters ``repr`` writes, or are the text ``inf``.
+    """Whether boundaries hold only the characters ``repr`` writes, or are the text ``inf``.
 
     Once those characters are deleted from the joined texts, in one pass (a
     non-ASCII character is left as ``?``), what is left must be one ``inf``
@@ -122,19 +123,18 @@ _SAVING_VALUES = {"true": True, "false": False}
 _NON_NEGATIVE = (0.0).__le__
 # How each record field other than project, qa_mode and relationship is read
 # from its text: (convert, whether the texts are written as emit_records writes
-# them, check, what the check requires).  Texts and values go in as columns, so
-# a column is checked with a few calls, not one Python call per value.  The
-# checks take the ranges the grid produces; their comparisons also reject nan.
+# them, check, what the check requires).  Texts and values go in as columns.
+# The fields read once per cell or setting must be exactly their _csv_cell
+# text; the boundaries, read on every row, are checked only for the characters
+# repr writes, as the exact check costs a Python call per value.  The checks
+# take the ranges the grid produces; their comparisons also reject nan.
 _FIELD_RULES = {
-    "accuracy": (float, _floats_written, _in_unit, "in [0, 1]"),
-    "repetition": (int, _counts_written, _NON_NEGATIVE, ">= 0"),
-    "p_qf": (float, _floats_written, lambda p_qf: 0.0 <= p_qf < 1.0, "in [0, 1)"),
+    "accuracy": (float, _as_written, _in_unit, "in [0, 1]"),
+    "repetition": (int, _as_written, _NON_NEGATIVE, ">= 0"),
+    "p_qf": (float, _as_written, lambda p_qf: 0.0 <= p_qf < 1.0, "in [0, 1)"),
+    **{name: (int, _as_written, _NON_NEGATIVE, ">= 0") for name in ("tp", "fp", "tn", "fn")},
     **{
-        name: (int, _counts_written, _NON_NEGATIVE, ">= 0")
-        for name in ("tp", "fp", "tn", "fn")
-    },
-    **{
-        name: (_optional_float, _floats_written, _in_unit, "in [0, 1] or empty")
+        name: (_optional_float, _as_written, _in_unit, "in [0, 1] or empty")
         for name in METRICS
     },
     **{name: (float, _floats_written, _NON_NEGATIVE, ">= 0 or inf") for name in BOUNDS},
@@ -292,12 +292,13 @@ def parse_records(text: str, format: str = "csv") -> RecordTable:
     produces is rejected: an accuracy, precision or recall outside [0, 1], a
     ``p_qf`` outside [0, 1), a negative count or repetition, and a negative
     or ``nan`` boundary.  So is a number not written the way
-    ``emit_records`` writes it: a count or repetition other than ASCII ``0``
-    or ``[1-9][0-9]*``, a float with a character other than the digits,
-    ``.``, ``e``, ``+`` and ``-`` that ``repr`` uses, and an unbounded
-    boundary other than the text ``inf`` (such as ``1e999``, which overflows
-    a float).  ``ParseError.line`` is the line in the text, counting blank
-    lines.
+    ``emit_records`` writes it: a count, repetition, accuracy, ``p_qf``,
+    precision or recall that is not the ``str`` of its value (so ``06``,
+    ``+4``, ``0.50`` and ``5e-1`` are rejected), a boundary with a character
+    other than the digits, ``.``, ``e``, ``+`` and ``-`` that ``repr`` uses,
+    and an unbounded boundary other than the text ``inf`` (such as
+    ``1e999``, which overflows a float).  ``ParseError.line`` is the line in
+    the text, counting blank lines.
     """
     if format != "csv":
         raise InputContractError(f"unknown format {format!r}, expected 'csv'")
@@ -347,8 +348,7 @@ def _points(records, metric: str, kind: ModelKind, bounds) -> dict:
 
 def _bins(metric_values, bound_values, n_bins: int) -> tuple:
     """(midpoint, mean, count) per equal-width metric bin; bin means are exact sums."""
-    if n_bins < 2:
-        raise InputContractError(f"n_bins must be >= 2, got {_shown(n_bins)}")
+    n_bins = _number("n_bins", n_bins, "an integer >= 2", lambda n: n >= 2, integer=True)
     index = np.clip(metric_values * n_bins, 0, n_bins - 1).astype(np.intp)
     counts = np.bincount(index, minlength=n_bins)
     groups = np.split(bound_values[np.argsort(index, kind="stable")], np.cumsum(counts)[:-1])
@@ -359,7 +359,8 @@ def _bins(metric_values, bound_values, n_bins: int) -> tuple:
 
 
 def trend(records, metric: str, kind: ModelKind, bound: str, n_bins: int = 20) -> TrendSeries:
-    """Mean finite boundary value in equal-width metric bins over [0, 1].
+    """Mean finite boundary value in ``n_bins`` (an integer >= 2) equal-width
+    metric bins over [0, 1].
 
     Cells with an undefined metric or an unbounded boundary are excluded and
     counted; empty bins keep count 0 and a filler mean of 0.  The result does
@@ -389,8 +390,8 @@ def render_scatter(records, metric: str, kind: ModelKind, n_bins: int = 20) -> s
     """An SVG scatter of boundary values against a metric, with binned trend lines.
 
     Lower and upper boundaries are drawn in two colors; the polylines connect
-    the non-empty bin means of ``trend``.  Equal inputs produce byte-identical
-    output."""
+    the non-empty bin means of ``trend`` (``n_bins`` an integer >= 2).  Equal
+    inputs produce byte-identical output."""
     points = _points(records, metric, kind, BOUNDS)
     if not any(len(bound_values) for _, bound_values, _ in points.values()):
         raise InputContractError("nothing to plot")

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundaries import _ends
-from .costs import ALL_KINDS, ModelKind, QAMode, _is_number, _powers, qa_cost_vector
-from .errors import InputContractError, _shown
+from .costs import ALL_KINDS, ModelKind, QAMode, _is_probability, _powers, qa_cost_vector
+from .errors import InputContractError, _number
 from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit
 
 _MASK64 = (1 << 64) - 1
@@ -75,12 +75,17 @@ def _splitmix64(value: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _uint64(name: str, value) -> int:
+    return _number(
+        name, value, "an integer in [0, 2^64)", lambda v: 0 <= v <= _MASK64, integer=True
+    )
+
+
 def cell_seed(master_seed: int, accuracy_index: int, repetition_index: int) -> int:
-    """Deterministic per-cell seed; see the module docstring for the scheme."""
-    mixed = _splitmix64(master_seed & _MASK64)
-    mixed = _splitmix64(mixed ^ (accuracy_index & _MASK64))
-    mixed = _splitmix64(mixed ^ (repetition_index & _MASK64))
-    return mixed
+    """Deterministic per-cell seed of three integers in [0, 2^64); see the module docstring."""
+    mixed = _splitmix64(_uint64("master_seed", master_seed))
+    mixed = _splitmix64(mixed ^ _uint64("accuracy_index", accuracy_index))
+    return _splitmix64(mixed ^ _uint64("repetition_index", repetition_index))
 
 
 def _splitmix64_array(z: np.ndarray) -> np.ndarray:
@@ -168,18 +173,13 @@ def _simulate_labels(
     return (generator.random(len(truth)) < accuracy) == truth
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _items(name: str, values, is_item, what: str) -> tuple:
-    """``values`` as a tuple; it must be iterable and hold only ``what``, as ``is_item`` tells."""
+def _items(name: str, values, what: str) -> tuple:
+    """``values`` as a tuple; it must be a non-empty iterable."""
     if not isinstance(values, Iterable):
         raise InputContractError(f"{name} must be a sequence of {what}, got {values!r}")
     values = tuple(values)
-    for value in values:
-        if not is_item(value):
-            raise InputContractError(f"{name} must hold {what}, got {value!r}")
+    if not values:
+        raise InputContractError(f"{name} must not be empty")
     return values
 
 
@@ -188,14 +188,11 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
 
     Artifacts are processed in the project's stored order; each keeps its true
     label with probability ``accuracy`` and is flipped otherwise.  The result
-    is fully determined by ``cell_seed``, an integer in [0, 2^64).
+    is fully determined by ``cell_seed``, an integer in [0, 2^64); ``accuracy``
+    is a number in [0, 1].
     """
-    if not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
-        raise InputContractError(f"accuracy must be a number in [0, 1], got {_shown(accuracy)}")
-    if not (_is_int(cell_seed) and 0 <= cell_seed <= _MASK64):
-        raise InputContractError(
-            f"cell_seed must be an integer in [0, 2^64), got {_shown(cell_seed)}"
-        )
+    accuracy = _number("accuracy", accuracy, "a number in [0, 1]", _is_probability)
+    cell_seed = _uint64("cell_seed", cell_seed)
     truth = project.defective_mask
     generator = np.random.Generator(np.random.PCG64(cell_seed))
     labels = _simulate_labels(truth, accuracy, generator).astype(np.int8)
@@ -204,7 +201,10 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sweep settings: accuracy grid, repetitions, failure probabilities, seed, kinds."""
+    """Sweep settings: accuracy grid, repetitions, failure probabilities, seed, kinds.
+
+    Accuracies are numbers in [0, 1] and p_qf values numbers in [0, 1), stored
+    as floats; ``repetitions`` is an integer >= 1 and ``seed`` one in [0, 2^64)."""
 
     accuracies: tuple[float, ...] = DEFAULT_ACCURACIES
     repetitions: int = 100
@@ -213,29 +213,24 @@ class GridConfig:
     model_kinds: tuple[ModelKind, ...] = ALL_KINDS
 
     def __post_init__(self):
-        accuracies = _items("accuracies", self.accuracies, _is_number, "numbers")
-        p_qf_values = _items("p_qf_values", self.p_qf_values, _is_number, "numbers")
-        kinds = _items(
-            "model_kinds", self.model_kinds, lambda k: isinstance(k, ModelKind), "ModelKinds"
+        accuracies = [
+            _number("accuracies", a, "numbers in [0, 1]", _is_probability)
+            for a in _items("accuracies", self.accuracies, "numbers")
+        ]
+        repetitions = _number(
+            "repetitions", self.repetitions, "an integer >= 1", lambda r: r >= 1, integer=True
         )
-        if not accuracies:
-            raise InputContractError("accuracies must not be empty")
-        for a in accuracies:
-            if not 0.0 <= a <= 1.0:
-                raise InputContractError(f"accuracy {_shown(a)} outside [0, 1]")
-        if not _is_int(self.repetitions):
-            raise InputContractError(f"repetitions must be an integer, got {self.repetitions!r}")
-        if self.repetitions < 1:
-            raise InputContractError(f"repetitions must be >= 1, got {_shown(self.repetitions)}")
-        if not p_qf_values:
-            raise InputContractError("p_qf_values must not be empty")
-        for p in p_qf_values:
-            if not 0.0 <= p < 1.0:
-                raise InputContractError(f"p_qf {_shown(p)} outside [0, 1)")
-        if not (_is_int(self.seed) and 0 <= self.seed <= _MASK64):
-            raise InputContractError("seed must be an unsigned 64-bit integer")
-        if not kinds:
-            raise InputContractError("model_kinds must not be empty")
+        p_qf_values = [
+            _number("p_qf_values", p, "numbers in [0, 1)", lambda p: 0 <= p < 1)
+            for p in _items("p_qf_values", self.p_qf_values, "numbers")
+        ]
+        seed = _uint64("seed", self.seed)
+        kinds = _items("model_kinds", self.model_kinds, "ModelKinds")
+        for kind in kinds:
+            if not isinstance(kind, ModelKind):
+                raise InputContractError(f"model_kinds must hold ModelKinds, got {kind!r}")
+        object.__setattr__(self, "repetitions", repetitions)
+        object.__setattr__(self, "seed", seed)
         # floats, so that an integer setting is written as the parser reads it back
         object.__setattr__(self, "accuracies", tuple(map(float, accuracies)))
         object.__setattr__(self, "p_qf_values", tuple(sorted(set(map(float, p_qf_values)))))

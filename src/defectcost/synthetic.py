@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputContractError, _shown
+from .errors import InputContractError, _number
 from .model import Project, Relationship, _check_total_size
 
 
 @dataclass(frozen=True)
 class AggregateSpec:
-    """Target aggregates for a generated project."""
+    """Target aggregates for a generated project: the three counts are integers
+    >= 0 and the two means finite numbers."""
 
     name: str
     n_artifacts: int
@@ -77,22 +78,12 @@ def _sizes_with_total(rng: np.random.Generator, n: int, target_total: int) -> np
     return sizes
 
 
-def _is_finite(value) -> bool:
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
 def _generator(seed) -> np.random.Generator:
     """``seed`` itself if it is a ``Generator``, else a new one seeded by it."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InputContractError(
-            f"seed must be a non-negative integer or a Generator, got {_shown(seed)}"
-        )
-    return np.random.default_rng(seed)
+    requirement = "a non-negative integer or a Generator"
+    return np.random.default_rng(_number("seed", seed, requirement, lambda s: s >= 0, integer=True))
 
 
 def _checked(spec: AggregateSpec) -> tuple[int, int, int, int, int]:
@@ -100,26 +91,22 @@ def _checked(spec: AggregateSpec) -> tuple[int, int, int, int, int]:
     total size, if the spec can be met."""
     if not isinstance(spec.name, str):
         raise InputContractError(f"name must be a string, got {spec.name!r}")
-    for name in ("n_artifacts", "n_defective", "n_defects"):
-        value = getattr(spec, name)
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise InputContractError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise InputContractError(f"{name} must be >= 0, got {_shown(value)}")
-    for name in ("mean_members", "mean_size"):
-        if not _is_finite(getattr(spec, name)):
-            raise InputContractError(
-                f"{name} must be a finite number, got {_shown(getattr(spec, name))}"
-            )
     n_files, n_defective, n_defects = (
-        int(spec.n_artifacts), int(spec.n_defective), int(spec.n_defects)
+        _number(name, getattr(spec, name), "an integer >= 0", lambda n: n >= 0, integer=True)
+        for name in ("n_artifacts", "n_defective", "n_defects")
+    )
+    mean_members, mean_size = (
+        _number(name, getattr(spec, name), "a finite number", math.isfinite)
+        for name in ("mean_members", "mean_size")
     )
     if n_defective > n_files:
         raise InputContractError("n_defective cannot exceed n_artifacts")
-    slots, size = spec.mean_members * n_defects, spec.mean_size * n_files
-    if not (_is_finite(slots) and _is_finite(size)):
-        raise InputContractError(f"the member slots or total size of {spec.name!r} overflow")
-    total_slots, total_size = int(round(slots)), int(round(size))
+    try:
+        total_slots, total_size = round(mean_members * n_defects), round(mean_size * n_files)
+    except OverflowError:
+        raise InputContractError(
+            f"the member slots or total size of {spec.name!r} overflow"
+        ) from None
     if total_slots < max(n_defects, n_defective):
         raise InputContractError(
             f"{total_slots} member slots cannot cover {n_defects} defects "

@@ -290,7 +290,7 @@ class TestParamValidation:
         "value", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
     )
     def test_integers_too_large_for_a_float(self, name, value):
-        with pytest.raises(InputContractError, match=f"{name} must be finite"):
+        with pytest.raises(InputContractError, match=f"{name} must be a finite number"):
             CostParams(**{name: value})
 
 

@@ -178,6 +178,11 @@ class TestParseRecordsStrict:
             ("upper", "1_0.0"),
             ("upper", " 1.0 "),
             ("lower", "\u0664"),
+            *(
+                (column, text)
+                for column in ("accuracy", "p_qf", "precision", "recall")
+                for text in ("+0.5", "0.50", "00.5", "5e-1", "1e0")
+            ),
         ],
     )
     def test_csv_number_not_as_written(self, column, value):

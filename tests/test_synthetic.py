@@ -125,7 +125,7 @@ class TestRejectedSpecs:
             (AggregateSpec("o", 10, 2, 2, 1e308, 5.0), "overflow"),
             (AggregateSpec("f", 10.5, 2, 1, 2.0, 5.0), "n_artifacts must be an integer"),
             (AggregateSpec("b", 10, True, 1, 1.0, 5.0), "n_defective must be an integer"),
-            (AggregateSpec("m", 10, -1, 1, 1.0, 5.0), "n_defective must be >= 0"),
+            (AggregateSpec("m", 10, -1, 1, 1.0, 5.0), "n_defective must be an integer >= 0"),
             (AggregateSpec("z", 10, 3, 0, 2.0, 5.0), "cannot cover 0 defects and 3 defective"),
             (AggregateSpec("x", 3, 4, 4, 1.0, 5.0), "n_defective cannot exceed n_artifacts"),
             (AggregateSpec("t", 10, 2, 1, 2.0, 0.5), "cannot place total size 5 on 10 files"),
