@@ -37,7 +37,9 @@ from enum import Enum
 
 import numpy as np
 
-from .costs import CostParams, ModelKind, _check_kind, _is_probability, _powers, _terms
+from .costs import (
+    _PARAM_RULES, CostParams, ModelKind, _check_kind, _is_probability, _powers, _terms,
+)
 from .errors import _number
 from .model import OutcomeSummary, Project
 
@@ -70,7 +72,10 @@ class BoundaryCondition:
     threshold: float
 
     def allows(self, c_ratio: float) -> bool:
-        """True when a defect cost ratio of ``c_ratio`` yields positive expected profit."""
+        """True when a defect cost ratio of ``c_ratio`` yields positive expected profit.
+
+        ``c_ratio`` is checked as ``CostParams.c_ratio`` is, whatever the kind."""
+        c_ratio = _number("c_ratio", c_ratio, *_PARAM_RULES["c_ratio"])
         if self.kind is BoundKind.UPPER_BOUND:
             return c_ratio < self.threshold
         if self.kind is BoundKind.LOWER_BOUND:

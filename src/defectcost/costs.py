@@ -81,13 +81,19 @@ def _is_probability(value) -> bool:
     return 0 <= value <= 1
 
 
-# (name, requirement, test) of each number of CostParams
-_PARAM_RULES = (
-    ("c_ratio", "a finite number > 0", lambda c: c > 0 and math.isfinite(c)),
-    ("p_qf", "a number in [0, 1)", lambda p: 0 <= p < 1),
-    ("c_init", "a finite number >= 0", lambda c: c >= 0 and math.isfinite(c)),
-    ("c_exec", "a finite number >= 0", lambda c: c >= 0 and math.isfinite(c)),
-)
+def _is_failure_probability(value) -> bool:
+    return 0 <= value < 1
+
+
+# name -> (requirement, test) of each number of CostParams; GeneralCostInputs
+# and BoundaryCondition.allows check their numbers of these names by it too
+_PARAM_RULES = {
+    "c_ratio": ("a finite number > 0", lambda c: c > 0 and math.isfinite(c)),
+    "p_qf": ("a number in [0, 1)", _is_failure_probability),
+    **dict.fromkeys(
+        ("c_init", "c_exec"), ("a finite number >= 0", lambda c: c >= 0 and math.isfinite(c))
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -112,21 +118,28 @@ class CostParams:
     qa_mode: QAMode = QAMode.CONSTANT
 
     def __post_init__(self):
-        for name, requirement, test in _PARAM_RULES:
-            object.__setattr__(self, name, _number(name, getattr(self, name), requirement, test))
+        for name, rule in _PARAM_RULES.items():
+            object.__setattr__(self, name, _number(name, getattr(self, name), *rule))
         if not isinstance(self.qa_mode, QAMode):
             raise InputContractError(f"qa_mode must be a QAMode, got {self.qa_mode!r}")
 
 
 @dataclass(frozen=True)
 class GeneralCostInputs:
-    """Fully general per-artifact QA costs and per-defect losses and failure rates."""
+    """Fully general per-artifact QA costs and per-defect losses and failure rates.
+
+    ``c_init`` and ``c_exec`` are checked and stored as in ``CostParams``."""
 
     qa_costs: Mapping[str, float]
     losses: Mapping[str, float]
     qf_values: Mapping[str, float]
     c_init: float = 0.0
     c_exec: float = 0.0
+
+    def __post_init__(self):
+        for name in ("c_init", "c_exec"):
+            value = _number(name, getattr(self, name), *_PARAM_RULES[name])
+            object.__setattr__(self, name, value)
 
 
 def qa_cost_vector(project: Project, qa_mode: QAMode) -> np.ndarray:

@@ -217,10 +217,11 @@ def format_matrix(project: Project) -> str:
     """Serialize a project back to matrix CSV; the inverse of ``parse_matrix``.
 
     Raises ``InputContractError`` for an artifact or defect id the format
-    cannot hold: an empty one, or one with a comma or a line break."""
+    cannot hold: one that is not a ``str``, an empty one, or one with a comma or a
+    line break."""
     file_ids, defect_ids = project._file_ids, project._defect_ids
     for item_id in chain(defect_ids, file_ids):
-        if not item_id or not _UNWRITABLE.isdisjoint(item_id):
+        if not isinstance(item_id, str) or not item_id or not _UNWRITABLE.isdisjoint(item_id):
             raise InputContractError(f"id {item_id!r} cannot be written to matrix CSV")
     out = [",".join(["file", "loc", *defect_ids])]
     k = len(defect_ids)

@@ -18,6 +18,9 @@ synthetic generators build a project from the arrays alone with
 Likewise ``classify`` returns an ``OutcomeSummary`` that holds the
 predicted-artifact and defect-hit masks and builds its three id sets on first
 access.
+
+Each public value type checks its values in its one constructor;
+``Prediction._from_labels``, for labels already checked, is the only trusted path.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import InputContractError, _number
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
 _MAX_TOTAL_SIZE = 2**53
-_BINARY = frozenset((0, 1))
 
 
 class Relationship(Enum):
@@ -68,8 +70,16 @@ class Defect:
     members: frozenset[str]
 
     def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
+        try:  # a str would be split into characters
+            members = None if isinstance(self.members, str) else frozenset(self.members)
+        except TypeError:  # not an iterable of hashable ids
+            members = None
+        if members is None:
+            raise InputContractError(
+                f"the members of defect {self.id!r} must be a set of artifact ids, "
+                f"got {self.members!r}"
+            )
+        object.__setattr__(self, "members", members)
         if not self.members:
             raise InputContractError(f"defect {self.id!r} has no members")
 
@@ -212,27 +222,27 @@ class Project:
         return np.diff(self._member_csr[1])
 
 
+def _label(name: str, value) -> int:
+    """A label: the integer 0 or 1, returned as ``int``."""
+    return _number(name, value, "0 or 1", lambda label: 0 <= label <= 1, integer=True)
+
+
 @dataclass(frozen=True)
 class Prediction:
     """A total binary labeling of artifacts: 1 = predicted defective, 0 = clean.
 
-    ``Prediction(...)`` copies and checks its labels; library code whose
-    labels are already checked builds one with ``Prediction._from_labels``."""
+    ``Prediction(...)`` copies its labels and checks each by ``_label``;
+    library code whose labels are already checked builds one with
+    ``Prediction._from_labels``."""
 
     labels: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", dict(self.labels))
-        try:
-            binary = _BINARY.issuperset(self.labels.values())
-        except TypeError:  # an unhashable label
-            binary = False
-        if not binary:  # then name the first label that is not 0 or 1, if one is not
-            for artifact_id, label in self.labels.items():
-                if label not in (0, 1):
-                    raise InputContractError(
-                        f"label for artifact {artifact_id!r} is {label!r}, must be 0 or 1"
-                    )
+        labels = {
+            artifact_id: _label(f"label for artifact {artifact_id!r}", label)
+            for artifact_id, label in dict(self.labels).items()
+        }
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def _from_labels(cls, labels: dict) -> Prediction:
@@ -243,9 +253,13 @@ class Prediction:
         return prediction
 
 
+def _is_count(value) -> bool:
+    return value >= 0
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Artifact-level outcome counts of a prediction."""
+    """Artifact-level outcome counts of a prediction: integers >= 0, stored as ``int``."""
 
     tp: int
     fp: int
@@ -254,8 +268,8 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise InputContractError(f"{name} must be non-negative")
+            count = _number(name, getattr(self, name), "an integer >= 0", _is_count, integer=True)
+            object.__setattr__(self, name, count)
 
     @property
     def total(self) -> int:
@@ -407,6 +421,4 @@ def perfect_prediction(project: Project) -> Prediction:
 
 def constant_prediction(project: Project, label: int) -> Prediction:
     """Label every artifact with the same value (predict nothing or everything)."""
-    if label not in (0, 1):
-        raise InputContractError(f"label must be 0 or 1, got {label!r}")
-    return Prediction._from_labels(dict.fromkeys(project._file_ids, label))
+    return Prediction._from_labels(dict.fromkeys(project._file_ids, _label("label", label)))

@@ -15,7 +15,7 @@ from itertools import compress, count, repeat
 
 import numpy as np
 
-from .costs import ALL_KINDS, ModelKind
+from .costs import ALL_KINDS, ModelKind, _is_failure_probability
 from .errors import InputContractError, ParseError, _number
 from .simulation import RecordTable
 
@@ -51,6 +51,8 @@ def _csv_text(table: RecordTable) -> str:
     Boundaries are floats, so ``repr`` writes them as ``_csv_cell`` would, an
     unbounded one as ``inf``."""
     for project in set(table.project):
+        if not isinstance(project, str):
+            raise InputContractError(f"project id {project!r} must be a str")
         if "," in project or "\n" in project or "\r" in project:
             raise InputContractError(
                 f"project id {project!r} contains a comma or a line break, "
@@ -131,7 +133,7 @@ _NON_NEGATIVE = (0.0).__le__
 _FIELD_RULES = {
     "accuracy": (float, _as_written, _in_unit, "in [0, 1]"),
     "repetition": (int, _as_written, _NON_NEGATIVE, ">= 0"),
-    "p_qf": (float, _as_written, lambda p_qf: 0.0 <= p_qf < 1.0, "in [0, 1)"),
+    "p_qf": (float, _as_written, _is_failure_probability, "in [0, 1)"),
     **{name: (int, _as_written, _NON_NEGATIVE, ">= 0") for name in ("tp", "fp", "tn", "fn")},
     **{
         name: (_optional_float, _as_written, _in_unit, "in [0, 1] or empty")

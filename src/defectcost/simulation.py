@@ -51,7 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundaries import _ends
-from .costs import ALL_KINDS, ModelKind, QAMode, _is_probability, _powers, qa_cost_vector
+from .costs import (
+    ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, _powers, qa_cost_vector,
+)
 from .errors import InputContractError, _number
 from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit
 
@@ -221,7 +223,7 @@ class GridConfig:
             "repetitions", self.repetitions, "an integer >= 1", lambda r: r >= 1, integer=True
         )
         p_qf_values = [
-            _number("p_qf_values", p, "numbers in [0, 1)", lambda p: 0 <= p < 1)
+            _number("p_qf_values", p, "numbers in [0, 1)", _is_failure_probability)
             for p in _items("p_qf_values", self.p_qf_values, "numbers")
         ]
         seed = _uint64("seed", self.seed)

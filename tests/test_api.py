@@ -2,6 +2,9 @@
 every public number argument keeps: what it accepts, what it stores and the
 error it raises, however large the number is."""
 
+import dataclasses
+import math
+import typing
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,9 +16,14 @@ from defectcost import (
     ALL_KINDS,
     AggregateSpec,
     Artifact,
+    BoundaryCondition,
+    BoundKind,
+    ConfusionMatrix,
     CostParams,
+    GeneralCostInputs,
     GridConfig,
     InputContractError,
+    Prediction,
     cell_seed,
     classify,
     constant_prediction,
@@ -50,6 +58,14 @@ def test_public_names_are_pinned():
 
 
 HUGE = 10**5000  # more digits than Python converts to text
+COUNTS = ("tp", "fp", "tn", "fn")
+# a condition of each kind; below threshold 3, above threshold 1, and C-independent
+CONDITIONS = {
+    BoundKind.UPPER_BOUND: BoundaryCondition(1.0, 3.0, BoundKind.UPPER_BOUND, 3.0),
+    BoundKind.LOWER_BOUND: BoundaryCondition(-1.0, -1.0, BoundKind.LOWER_BOUND, 1.0),
+    BoundKind.ALWAYS_PROFITABLE: BoundaryCondition(0.0, 1.0, BoundKind.ALWAYS_PROFITABLE, math.inf),
+    BoundKind.NEVER_PROFITABLE: BoundaryCondition(0.0, -1.0, BoundKind.NEVER_PROFITABLE, math.inf),
+}
 
 HUGE_CALLS = {
     "CostParams.p_qf": lambda p, o: CostParams(p_qf=HUGE),
@@ -62,6 +78,22 @@ HUGE_CALLS = {
     "theorem_boundary.p_qa": lambda p, o: theorem_boundary(p, o, HUGE, CostParams()),
     "Artifact.size": lambda p, o: Artifact("a", -HUGE),
     "trend.n_bins": lambda p, o: trend([], "precision", ALL_KINDS[0], "lower", n_bins=-HUGE),
+    **{
+        f"ConfusionMatrix.{name}": lambda p, o, name=name: ConfusionMatrix(
+            **dict.fromkeys(COUNTS, 0) | {name: -HUGE}
+        )
+        for name in COUNTS
+    },
+    **{
+        f"allows.c_ratio.{kind.value}": lambda p, o, kind=kind: CONDITIONS[kind].allows(HUGE)
+        for kind in BoundKind
+    },
+    **{
+        f"GeneralCostInputs.{name}": lambda p, o, name=name: GeneralCostInputs(
+            {}, {}, {}, **{name: HUGE}
+        )
+        for name in ("c_init", "c_exec")
+    },
 }
 
 
@@ -80,9 +112,10 @@ def _generated(**fields) -> str:
     return format_matrix(project_from_aggregates(AggregateSpec(**spec), seed))
 
 
-# Every public number argument: "function.parameter" -> (a call that passes
-# the number as that parameter and returns what it stores or gives, an integer
-# the parameter accepts).
+# Every public number argument: "function.parameter" (for allows, followed by
+# the kind of the condition) -> (a call that passes the number as that
+# parameter and returns what it stores or gives, an integer the parameter
+# accepts).
 NUMBER_SITES = {
     **{
         f"CostParams.{name}": (lambda p, o, v, name=name: getattr(CostParams(**{name: v}), name), 0)
@@ -109,6 +142,26 @@ NUMBER_SITES = {
     },
     "Artifact.size": (lambda p, o, v: Artifact("a", v).size, 3),
     "trend.n_bins": (lambda p, o, v: trend([], "precision", ALL_KINDS[0], "lower", n_bins=v), 4),
+    **{
+        f"ConfusionMatrix.{name}": (
+            lambda p, o, v, name=name: getattr(
+                ConfusionMatrix(**dict.fromkeys(COUNTS, 0) | {name: v}), name
+            ),
+            3,
+        )
+        for name in COUNTS
+    },
+    **{
+        f"allows.c_ratio.{kind.value}": (lambda p, o, v, kind=kind: CONDITIONS[kind].allows(v), 2)
+        for kind in BoundKind
+    },
+    **{
+        f"GeneralCostInputs.{name}": (
+            lambda p, o, v, name=name: getattr(GeneralCostInputs({}, {}, {}, **{name: v}), name),
+            0,
+        )
+        for name in ("c_init", "c_exec")
+    },
 }
 
 
@@ -146,7 +199,7 @@ INTEGER_SITES = (
     "cell_seed.master_seed", "cell_seed.accuracy_index", "cell_seed.repetition_index",
     "project_from_aggregates.seed", "project_from_aggregates.n_artifacts",
     "project_from_aggregates.n_defective", "project_from_aggregates.n_defects",
-    "Artifact.size", "trend.n_bins",
+    "Artifact.size", "trend.n_bins", *(f"ConfusionMatrix.{name}" for name in COUNTS),
 )
 
 
@@ -158,3 +211,62 @@ def test_integers_reject_floats(site, value, project_e):
     with pytest.raises(InputContractError, match=site.split(".")[1]) as error:
         call(project_e, outcome, value)
     assert "integer" in str(error.value)
+
+
+@pytest.mark.parametrize("kind", BoundKind, ids=lambda kind: kind.value)
+@pytest.mark.parametrize("c_ratio", [-1.0, 0, math.inf, math.nan])
+def test_allows_checks_the_range_of_c_ratio_on_every_kind(kind, c_ratio):
+    with pytest.raises(InputContractError, match="c_ratio must be a finite number > 0"):
+        CONDITIONS[kind].allows(c_ratio)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_confusion_counts_reject_negatives(name):
+    with pytest.raises(InputContractError, match=f"{name} must be an integer >= 0, got -1"):
+        ConfusionMatrix(**dict.fromkeys(COUNTS, 0) | {name: -1})
+
+
+# Every call that takes a label: (project, label) -> the label it stores for s1
+LABEL_CALLS = {
+    "Prediction": lambda p, label: Prediction({"s1": label, "s2": 0, "s3": 0}).labels["s1"],
+    "constant_prediction": lambda p, label: constant_prediction(p, label).labels["s1"],
+}
+
+
+@pytest.mark.parametrize("call", LABEL_CALLS.values(), ids=LABEL_CALLS.keys())
+@pytest.mark.parametrize("label", [True, 1.0, "1", None, [1], 2], ids=repr)
+def test_labels_are_the_integers_0_and_1(call, label, project_e):
+    with pytest.raises(InputContractError, match="must be 0 or 1, got"):
+        call(project_e, label)
+
+
+@pytest.mark.parametrize("call", LABEL_CALLS.values(), ids=LABEL_CALLS.keys())
+@pytest.mark.parametrize("label", [np.int8(1), np.int64(0)], ids=repr)
+def test_numpy_labels_are_stored_as_int(call, label, project_e):
+    stored = call(project_e, label)
+    assert stored == label and type(stored) is int
+
+
+# Public dataclasses that a computation returns rather than takes: their
+# numbers are results, so they are not checked.
+RESULT_TYPES = (
+    "BoundaryCondition", "BoundaryInterval", "ExperimentRecord", "SummaryStats", "TrendSeries",
+)
+# AggregateSpec keeps its numbers as given; project_from_aggregates checks
+# them when it reads the spec.
+CHECKED_BY = {"AggregateSpec": "project_from_aggregates"}
+
+
+def test_every_number_field_of_a_public_input_type_is_a_number_site():
+    sites = []
+    for name in defectcost.__all__:
+        cls = getattr(defectcost, name)
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and name not in RESULT_TYPES:
+            hints = typing.get_type_hints(cls)
+            sites.extend(
+                f"{CHECKED_BY.get(name, name)}.{field.name}"
+                for field in dataclasses.fields(cls)
+                if hints[field.name] in (int, float)
+            )
+    assert {f"ConfusionMatrix.{name}" for name in COUNTS} <= set(sites)
+    assert [site for site in sites if site not in NUMBER_SITES] == []

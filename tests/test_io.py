@@ -175,7 +175,7 @@ class TestParseMatrix:
             parse_matrix(text)
         assert (err.value.line, err.value.column) == (line, column)
 
-    @pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "d\r", "\r"])
+    @pytest.mark.parametrize("bad", ["", "a,b", "a\nb", "d\r", "\r", 5])
     @pytest.mark.parametrize("where", ["artifact", "defect"])
     def test_format_rejects_unwritable_id(self, bad, where):
         file_id = bad if where == "artifact" else "f"
@@ -183,7 +183,6 @@ class TestParseMatrix:
         project = Project("p", (Artifact(file_id, 1),), (Defect(defect_id, frozenset({file_id})),))
         with pytest.raises(InputContractError, match="cannot be written"):
             format_matrix(project)
-
 
 # What the mutations below insert or write over one character: cell values,
 # separators, a two-character cell, a letter, a non-ASCII letter, a digit that

@@ -245,6 +245,12 @@ class TestInvariantEnforcement:
         with pytest.raises(InputContractError):
             Defect("d", frozenset())
 
+    @pytest.mark.parametrize("members", ["ab", None, 5, [["a"]]], ids=repr)
+    def test_defect_members_must_be_a_collection_of_ids(self, members):
+        # a str would otherwise be split into one member per character
+        with pytest.raises(InputContractError, match="members of defect 'd1'"):
+            Defect("d1", members)
+
     def test_duplicate_artifact_ids_rejected(self):
         with pytest.raises(InputContractError, match="duplicate"):
             Project("p", (Artifact("a", 1), Artifact("a", 2)), ())
@@ -272,7 +278,7 @@ class TestInvariantEnforcement:
             )
 
     def test_prediction_labels_binary(self):
-        with pytest.raises(InputContractError, match="label for artifact 'a' is 2, must be 0 or 1"):
+        with pytest.raises(InputContractError, match="label for artifact 'a' must be 0 or 1, got 2"):
             Prediction({"a": 2})
 
     def test_constant_label_checked_without_artifacts(self):

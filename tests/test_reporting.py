@@ -126,6 +126,13 @@ class TestEmitRecords:
         with pytest.raises(InputContractError):
             emit_records(table)
 
+    def test_csv_rejects_project_id_that_is_not_a_str(self):
+        table = run_grid(
+            Project(7, (Artifact("f", 1),), ()), GridConfig(accuracies=(0.5,), repetitions=1)
+        )
+        with pytest.raises(InputContractError, match="project id 7 must be a str"):
+            emit_records(table)
+
 
 class TestParseRecordsStrict:
     @pytest.mark.parametrize(
