@@ -131,7 +131,7 @@ def _cmd_simulate(args) -> int:
         p_qf_values=p_qf_values,
         seed=args.seed,
     )
-    text = emit_records(run_grid(project, config), format="csv")
+    text = emit_records(run_grid(project, config))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -140,7 +140,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    records = parse_records(_read(getattr(args, "in")), format="csv")
+    records = parse_records(_read(getattr(args, "in")))
     svg = render_scatter(records, metric=args.metric, kind=KIND_BY_CODE[args.kind])
     Path(args.out).write_text(svg, encoding="utf-8")
     return 0

@@ -22,10 +22,8 @@ def _number(name: str, value, requirement: str, test, *, integer: bool = False):
     ``test`` sees the Python number, and a value too large for a float (its
     ``OverflowError``) fails it.  Anything else raises ``InputContractError``
     "``name`` must be ``requirement``, got ``value``"."""
-    kind, number = type(value), None
-    if kind is int or kind is float and not integer:  # the common case, kept as it is
-        number = value
-    elif isinstance(value, _INTEGERS if integer else _NUMBERS) and kind is not bool:
+    number = None
+    if isinstance(value, _INTEGERS if integer else _NUMBERS) and type(value) is not bool:
         number = int(value) if isinstance(value, _INTEGERS) else float(value)
     try:
         if number is not None and test(number):

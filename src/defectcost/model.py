@@ -238,6 +238,10 @@ class Prediction:
     labels: Mapping[str, int]
 
     def __post_init__(self):
+        if not isinstance(self.labels, Mapping):
+            raise InputContractError(
+                f"labels must be a mapping of artifact ids to 0 or 1, got {self.labels!r}"
+            )
         labels = {
             artifact_id: _label(f"label for artifact {artifact_id!r}", label)
             for artifact_id, label in dict(self.labels).items()
@@ -253,8 +257,8 @@ class Prediction:
         return prediction
 
 
-def _is_count(value) -> bool:
-    return value >= 0
+# The one "value >= 0" test, of a Python int or float; nan fails it.
+_is_count = (0.0).__le__
 
 
 @dataclass(frozen=True)

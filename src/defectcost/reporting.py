@@ -17,6 +17,7 @@ import numpy as np
 
 from .costs import ALL_KINDS, ModelKind, _is_failure_probability
 from .errors import InputContractError, ParseError, _number
+from .model import _is_count
 from .simulation import RecordTable
 
 CSV_COLUMNS = (
@@ -50,9 +51,10 @@ def _csv_text(table: RecordTable) -> str:
 
     Boundaries are floats, so ``repr`` writes them as ``_csv_cell`` would, an
     unbounded one as ``inf``."""
-    for project in set(table.project):
+    for project in table.project:  # before any id is hashed
         if not isinstance(project, str):
             raise InputContractError(f"project id {project!r} must be a str")
+    for project in set(table.project):
         if "," in project or "\n" in project or "\r" in project:
             raise InputContractError(
                 f"project id {project!r} contains a comma or a line break, "
@@ -81,15 +83,12 @@ def _csv_text(table: RecordTable) -> str:
     return "\n".join(lines)
 
 
-def emit_records(records, format: str = "csv") -> str:
+def emit_records(records) -> str:
     """Serialize experiment records to record CSV, one row per record.
 
     ``records`` is a ``run_grid`` table or any iterable of records, which is
-    gathered into the same columns first.  ``format`` must be ``"csv"``.
-    Record CSV has no quoting, so a project id holding a comma or a line
-    break is rejected."""
-    if format != "csv":
-        raise InputContractError(f"unknown format {format!r}, expected 'csv'")
+    gathered into the same columns first.  Record CSV has no quoting, so a
+    project id holding a comma or a line break is rejected."""
     return _csv_text(RecordTable.from_records(records))
 
 
@@ -122,7 +121,6 @@ def _in_unit(value) -> bool:
 
 
 _SAVING_VALUES = {"true": True, "false": False}
-_NON_NEGATIVE = (0.0).__le__
 # How each record field other than project, qa_mode and relationship is read
 # from its text: (convert, whether the texts are written as emit_records writes
 # them, check, what the check requires).  Texts and values go in as columns.
@@ -132,14 +130,14 @@ _NON_NEGATIVE = (0.0).__le__
 # take the ranges the grid produces; their comparisons also reject nan.
 _FIELD_RULES = {
     "accuracy": (float, _as_written, _in_unit, "in [0, 1]"),
-    "repetition": (int, _as_written, _NON_NEGATIVE, ">= 0"),
+    "repetition": (int, _as_written, _is_count, ">= 0"),
     "p_qf": (float, _as_written, _is_failure_probability, "in [0, 1)"),
-    **{name: (int, _as_written, _NON_NEGATIVE, ">= 0") for name in ("tp", "fp", "tn", "fn")},
+    **{name: (int, _as_written, _is_count, ">= 0") for name in ("tp", "fp", "tn", "fn")},
     **{
         name: (_optional_float, _as_written, _in_unit, "in [0, 1] or empty")
         for name in METRICS
     },
-    **{name: (float, _floats_written, _NON_NEGATIVE, ">= 0 or inf") for name in BOUNDS},
+    **{name: (float, _floats_written, _is_count, ">= 0 or inf") for name in BOUNDS},
     "cost_saving": (
         _SAVING_VALUES.get, lambda texts, values: True, partial(operator.is_not, None),
         "true or false",
@@ -268,9 +266,12 @@ def _csv_chunks(text: str):
     strings are reused from the malloc heap.  Lines are numbered as they
     stand in the text; blank lines are skipped.  Only ``\\n`` and ``\\r\\n``
     end a line; the text is searched for ``\\r\\n`` only when it holds a
-    ``\\r``."""
+    ``\\r``, and any other ``\\r`` is an error, as no field can hold one."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
+        at = text.find("\r")
+        if at >= 0:
+            raise ParseError("a \\r that does not end a line", line=text.count("\n", 0, at) + 1)
     lines = text.split("\n")
     header = next((i for i, line in enumerate(lines) if line), None)
     if header is None or tuple(lines[header].split(",")) != CSV_COLUMNS:
@@ -285,25 +286,24 @@ def _csv_chunks(text: str):
             yield numbers, chunk
 
 
-def parse_records(text: str, format: str = "csv") -> RecordTable:
+def parse_records(text: str) -> RecordTable:
     """Read records back from ``emit_records`` output.
 
     Returns a ``RecordTable``: a ``Sequence`` of ``ExperimentRecord`` row
-    views over columns, equal to the list of records that was written.
-    ``format`` must be ``"csv"``.  A value outside the range the grid
-    produces is rejected: an accuracy, precision or recall outside [0, 1], a
-    ``p_qf`` outside [0, 1), a negative count or repetition, and a negative
-    or ``nan`` boundary.  So is a number not written the way
-    ``emit_records`` writes it: a count, repetition, accuracy, ``p_qf``,
-    precision or recall that is not the ``str`` of its value (so ``06``,
-    ``+4``, ``0.50`` and ``5e-1`` are rejected), a boundary with a character
-    other than the digits, ``.``, ``e``, ``+`` and ``-`` that ``repr`` uses,
-    and an unbounded boundary other than the text ``inf`` (such as
-    ``1e999``, which overflows a float).  ``ParseError.line`` is the line in
-    the text, counting blank lines.
+    views over columns, equal to the list of records that was written.  A
+    value outside the range the grid produces is rejected: an accuracy,
+    precision or recall outside [0, 1], a ``p_qf`` outside [0, 1), a
+    negative count or repetition, and a negative or ``nan`` boundary.  So
+    is a ``\\r`` that does not end a line, which no field can hold, and a
+    number not written the way ``emit_records`` writes it: a count,
+    repetition, accuracy, ``p_qf``, precision or recall that is not the
+    ``str`` of its value (so ``06``, ``+4``, ``0.50`` and ``5e-1`` are
+    rejected), a boundary with a character other than the digits, ``.``,
+    ``e``, ``+`` and ``-`` that ``repr`` uses, and an unbounded boundary
+    other than the text ``inf`` (such as ``1e999``, which overflows a
+    float).  ``ParseError.line`` is the line in the text, counting blank
+    lines.
     """
-    if format != "csv":
-        raise InputContractError(f"unknown format {format!r}, expected 'csv'")
     reader = _TableReader()
     for numbers, lines in _csv_chunks(text):
         reader.add(numbers, lines)

@@ -69,8 +69,10 @@ _BLOCK_CELLS = 64
 _BLOCK_LABELS = 1 << 16
 
 
-def _splitmix64(value: int) -> int:
-    """One step of the SplitMix64 finalizer; a fixed, portable 64-bit mixer."""
+def _splitmix64(value):
+    """One step of the SplitMix64 finalizer, a fixed, portable 64-bit mixer, of a
+    Python int in [0, 2^64) or of every word of a uint64 array, whose arithmetic
+    wraps modulo 2^64 silently, so that the masks change nothing on it."""
     z = (value + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -90,20 +92,11 @@ def cell_seed(master_seed: int, accuracy_index: int, repetition_index: int) -> i
     return _splitmix64(mixed ^ _uint64("repetition_index", repetition_index))
 
 
-def _splitmix64_array(z: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` of every word of a uint64 array; array arithmetic wraps
-    modulo 2^64 silently, where numpy scalar arithmetic would warn."""
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _cell_seeds(master_seed: int, n_accuracies: int, repetitions: int) -> np.ndarray:
     """``cell_seed(master_seed, a, r)`` of every cell ``a * repetitions + r``, at once."""
-    mixed = _splitmix64_array(np.array([master_seed], dtype=np.uint64))
-    mixed = _splitmix64_array(mixed ^ np.arange(n_accuracies, dtype=np.uint64))
-    return _splitmix64_array(mixed[:, None] ^ np.arange(repetitions, dtype=np.uint64)).ravel()
+    mixed = _splitmix64(np.array([master_seed], dtype=np.uint64))
+    mixed = _splitmix64(mixed ^ np.arange(n_accuracies, dtype=np.uint64))
+    return _splitmix64(mixed[:, None] ^ np.arange(repetitions, dtype=np.uint64)).ravel()
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -167,14 +160,6 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
-def _simulate_labels(
-    truth: np.ndarray, accuracy: float, generator: np.random.Generator
-) -> np.ndarray:
-    """Predicted-defective flags: each true label is kept with probability
-    ``accuracy`` and flipped otherwise, by one uniform from ``generator`` per file."""
-    return (generator.random(len(truth)) < accuracy) == truth
-
-
 def _items(name: str, values, what: str) -> tuple:
     """``values`` as a tuple; it must be a non-empty iterable."""
     if not isinstance(values, Iterable):
@@ -188,16 +173,16 @@ def _items(name: str, values, what: str) -> tuple:
 def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Prediction:
     """Draw one simulated labeling at the given expected accuracy.
 
-    Artifacts are processed in the project's stored order; each keeps its true
-    label with probability ``accuracy`` and is flipped otherwise.  The result
-    is fully determined by ``cell_seed``, an integer in [0, 2^64); ``accuracy``
-    is a number in [0, 1].
+    Artifacts are processed in the project's stored order, by one uniform per
+    file; each keeps its true label with probability ``accuracy`` and is
+    flipped otherwise.  The result is fully determined by ``cell_seed``, an
+    integer in [0, 2^64); ``accuracy`` is a number in [0, 1].
     """
     accuracy = _number("accuracy", accuracy, "a number in [0, 1]", _is_probability)
     cell_seed = _uint64("cell_seed", cell_seed)
     truth = project.defective_mask
-    generator = np.random.Generator(np.random.PCG64(cell_seed))
-    labels = _simulate_labels(truth, accuracy, generator).astype(np.int8)
+    uniforms = np.random.Generator(np.random.PCG64(cell_seed)).random(len(truth))
+    labels = ((uniforms < accuracy) == truth).astype(np.int8)
     return Prediction._from_labels(dict(zip(project._file_ids, labels.tolist())))
 
 

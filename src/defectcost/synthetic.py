@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputContractError, _number
-from .model import Project, Relationship, _check_total_size
+from .model import Project, Relationship, _check_total_size, _is_count
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     requirement = "a non-negative integer or a Generator"
-    return np.random.default_rng(_number("seed", seed, requirement, lambda s: s >= 0, integer=True))
+    return np.random.default_rng(_number("seed", seed, requirement, _is_count, integer=True))
 
 
 def _checked(spec: AggregateSpec) -> tuple[int, int, int, int, int]:
@@ -92,7 +92,7 @@ def _checked(spec: AggregateSpec) -> tuple[int, int, int, int, int]:
     if not isinstance(spec.name, str):
         raise InputContractError(f"name must be a string, got {spec.name!r}")
     n_files, n_defective, n_defects = (
-        _number(name, getattr(spec, name), "an integer >= 0", lambda n: n >= 0, integer=True)
+        _number(name, getattr(spec, name), "an integer >= 0", _is_count, integer=True)
         for name in ("n_artifacts", "n_defective", "n_defects")
     )
     mean_members, mean_size = (

@@ -1,8 +1,9 @@
-"""The public surface: the names the package exports, and the one contract
-every public number argument keeps: what it accepts, what it stores and the
-error it raises, however large the number is."""
+"""The public surface: the names the package exports, the parameters of its
+functions, and the one contract every public number argument keeps: what it
+accepts, what it stores and the error it raises, however large the number is."""
 
 import dataclasses
+import inspect
 import math
 import typing
 from decimal import Decimal
@@ -55,6 +56,79 @@ def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 55
     for name in PUBLIC_NAMES:
         assert hasattr(defectcost, name)
+
+
+# The parameters of every public function and the fields of every public
+# settings type, each as "name" or "name=default".  A new parameter, field or
+# default shows up here.
+SIGNATURES = {
+    "boundary_interval": "project, outcome, params, kind",
+    "cell_seed": "master_seed, accuracy_index, repetition_index",
+    "classify": "project, prediction",
+    "constant_prediction": "project, label",
+    "cost_general": "project, outcome, inputs",
+    "cost_init": "project, outcome, params, kind",
+    "cost_random": "project, p_qa, params",
+    "emit_records": "records",
+    "format_matrix": "project",
+    "induced_inputs": "project, params",
+    "lower_boundary": "project, outcome, params",
+    "parse_matrix": "text, project_id='project'",
+    "parse_prediction": "text, project",
+    "parse_records": "text",
+    "perfect_prediction": "project",
+    "precision": "cm",
+    "project_from_aggregates": "spec, seed=0",
+    "project_view": "project, target",
+    "recall": "cm",
+    "render_scatter": "records, metric, kind, n_bins=20",
+    "run_grid": "project, config",
+    "sample_corpus": "seed=0",
+    "simulate_prediction": "project, accuracy, cell_seed",
+    "summarize": "project",
+    "theorem_boundary": "project, outcome, p_qa, params",
+    "trend": "records, metric, kind, bound, n_bins=20",
+    "upper_boundary": "project, outcome, params",
+}
+FIELDS = {
+    "GridConfig": (
+        "accuracies=DEFAULT_ACCURACIES, repetitions=100, p_qf_values=DEFAULT_P_QF_VALUES, "
+        "seed=0, model_kinds=ALL_KINDS"
+    ),
+    "CostParams": (
+        "c_ratio=1.0, p_qf=0.0, c_init=0.0, c_exec=0.0, qa_mode=<QAMode.CONSTANT: 'const'>"
+    ),
+    "GeneralCostInputs": "qa_costs, losses, qf_values, c_init=0.0, c_exec=0.0",
+    "AggregateSpec": "name, n_artifacts, n_defective, n_defects, mean_members, mean_size",
+}
+
+
+def _with_default(name: str, default) -> str:
+    """``name``, or ``name=default`` with a default that is a public constant shown by its name."""
+    if default is inspect.Parameter.empty or default is dataclasses.MISSING:
+        return name
+    constants = [n for n in PUBLIC_NAMES if getattr(defectcost, n) is default]
+    return f"{name}={constants[0] if constants else repr(default)}"
+
+
+def test_public_signatures_are_pinned():
+    functions = {
+        name: ", ".join(
+            _with_default(p.name, p.default)
+            for p in inspect.signature(getattr(defectcost, name)).parameters.values()
+        )
+        for name in PUBLIC_NAMES
+        if inspect.isfunction(getattr(defectcost, name))
+    }
+    assert functions == SIGNATURES
+    fields = {
+        name: ", ".join(
+            _with_default(f.name, f.default)
+            for f in dataclasses.fields(getattr(defectcost, name))
+        )
+        for name in FIELDS
+    }
+    assert fields == FIELDS
 
 
 HUGE = 10**5000  # more digits than Python converts to text

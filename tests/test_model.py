@@ -281,6 +281,11 @@ class TestInvariantEnforcement:
         with pytest.raises(InputContractError, match="label for artifact 'a' must be 0 or 1, got 2"):
             Prediction({"a": 2})
 
+    @pytest.mark.parametrize("labels", [[1, 2], None, "ab", [("a", 1)]])
+    def test_prediction_labels_must_be_a_mapping(self, labels):
+        with pytest.raises(InputContractError, match="labels must be a mapping"):
+            Prediction(labels)
+
     def test_constant_label_checked_without_artifacts(self):
         for project in (Project("p", (), ()), Project("q", (Artifact("a", 1),), ())):
             with pytest.raises(InputContractError, match="must be 0 or 1"):

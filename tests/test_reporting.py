@@ -105,13 +105,6 @@ class TestEmitRecords:
         text = emit_records(run_grid(project_e, config))
         assert emit_records(parse_records(text)) == text
 
-    def test_unknown_format(self):
-        for format in ("xml", "json"):
-            with pytest.raises(InputContractError, match="unknown format"):
-                emit_records([record()], format=format)
-            with pytest.raises(InputContractError, match="unknown format"):
-                parse_records(emit_records([record()]), format=format)
-
     def test_bad_header_rejected(self):
         with pytest.raises(Exception, match="header"):
             parse_records("a,b,c\n1,2,3\n")
@@ -132,6 +125,15 @@ class TestEmitRecords:
         )
         with pytest.raises(InputContractError, match="project id 7 must be a str"):
             emit_records(table)
+
+    def test_csv_rejects_unhashable_project_id(self):
+        table = run_grid(
+            Project(["a"], (Artifact("f", 1),), ()), GridConfig(accuracies=(0.5,), repetitions=1)
+        )
+        with pytest.raises(InputContractError, match=r"project id \['a'\] must be a str"):
+            emit_records(table)
+        with pytest.raises(InputContractError, match=r"project id \['x'\] must be a str"):
+            emit_records([record(), replace(record(), project=["x"])])
 
 
 class TestParseRecordsStrict:
@@ -492,6 +494,16 @@ class TestParseErrorLines:
         assert err.value.line == 8
         crlf = "\r\n".join([header, "", rows[0], "", rows[1]]) + "\r\n"
         assert parse_records(crlf) == parse_records("\n".join([header] + rows[:2]))
+
+    @pytest.mark.parametrize("project", ["p\rq", "p\r"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_carriage_return_inside_a_line(self, project, end):
+        """No field can hold a \\r, so a project id that cannot be written back is refused."""
+        header, row, _ = emit_records([record()]).split("\n")
+        text = end.join([header, _corrupt(row, "project", project), ""])
+        with pytest.raises(ParseError, match="does not end a line") as err:
+            parse_records(text)
+        assert err.value.line == 2
 
     def test_blank_lines_across_chunks(self, project_e):
         lines = _grid_csv_lines(project_e, 400)

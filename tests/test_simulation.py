@@ -51,6 +51,16 @@ class TestSeeding:
         assert simulation._splitmix64(0) == 16294208416658607535
         assert simulation._splitmix64(1) == 10451216379200822465
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    def test_splitmix64_of_an_array_is_that_of_each_word(self, words):
+        """One body mixes Python ints and uint64 arrays alike; an array wraps
+        without a numpy overflow warning, which the test settings turn into an error."""
+        words = [0, 2**64 - 1, *words]
+        mixed = simulation._splitmix64(np.array(words, dtype=np.uint64))
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [simulation._splitmix64(word) for word in words]
+
     def test_cell_seed_golden_values(self):
         assert cell_seed(0, 0, 0) == 2558736989570252433
         assert cell_seed(42, 3, 17) == 11412059272541287833
