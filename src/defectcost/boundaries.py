@@ -93,19 +93,24 @@ class BoundaryInterval:
 
 
 def _threshold(coeff, margin):
-    """margin / coeff, or UNBOUNDED where coeff is 0; a float coeff skips numpy's call cost."""
+    """margin / coeff, or UNBOUNDED where coeff is 0; a float coeff skips numpy's call cost.
+
+    A subnormal coeff can overflow the quotient to inf, as Python's float
+    division gives it, without a warning."""
     if isinstance(coeff, float):
         return margin / coeff if coeff else UNBOUNDED
     out = np.full(np.broadcast_shapes(np.shape(coeff), np.shape(margin)), UNBOUNDED)
-    return np.divide(margin, coeff, out=out, where=coeff != 0)
+    with np.errstate(over="ignore"):
+        return np.divide(margin, coeff, out=out, where=coeff != 0)
 
 
 def _ends(spent, unspent, prevented, lost, c_init=0.0, c_exec=0.0):
     """(lower, upper, cost_saving) element-wise: the p_qa = 0 and p_qa = 1 thresholds of
-    ``theorem_boundary``, with coefficients -prevented and lost; upper clamps to 0."""
+    ``theorem_boundary``, with coefficients -prevented and lost; upper clamps to 0.
+    Cost saving is lower < upper: lower is never nan, and inf is below nothing."""
     lower = _threshold(-prevented, -spent - c_init - c_exec)
     upper = np.maximum(_threshold(lost, unspent - c_init - c_exec), 0.0)
-    return lower, upper, np.isfinite(lower) & (lower < upper)
+    return lower, upper, lower < upper
 
 
 def _interval(project: Project, outcome: OutcomeSummary, params: CostParams) -> BoundaryInterval:

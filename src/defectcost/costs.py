@@ -43,7 +43,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InputContractError, _number
+from .errors import InputContractError, _instance, _number
 from .model import OutcomeSummary, Project, Relationship, _defects_hit
 
 
@@ -61,13 +61,13 @@ class ModelKind:
     qa_mode: QAMode
     relationship: Relationship
 
+    def __post_init__(self):
+        _instance("qa_mode", self.qa_mode, QAMode)
+        _instance("relationship", self.relationship, Relationship)
+
     @property
     def code(self) -> str:
         return f"{self.qa_mode.value}-{self.relationship.value}"
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (list(QAMode).index(self.qa_mode), list(Relationship).index(self.relationship))
 
 
 ALL_KINDS: tuple[ModelKind, ...] = tuple(
@@ -120,8 +120,7 @@ class CostParams:
     def __post_init__(self):
         for name, rule in _PARAM_RULES.items():
             object.__setattr__(self, name, _number(name, getattr(self, name), *rule))
-        if not isinstance(self.qa_mode, QAMode):
-            raise InputContractError(f"qa_mode must be a QAMode, got {self.qa_mode!r}")
+        _instance("qa_mode", self.qa_mode, QAMode)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one check of a number argument."""
+"""Exception types shared across the package, and the one check of a number, of an id
+and of an argument of a given type."""
 
 import numpy as np
 
@@ -31,6 +32,18 @@ def _number(name: str, value, requirement: str, test, *, integer: bool = False):
     except OverflowError:
         pass
     raise InputContractError(f"{name} must be {requirement}, got {_shown(value)}")
+
+
+def _id(what: str, value) -> None:
+    """``InputContractError`` "``what`` id ``value`` must be a str" unless ``value`` is one."""
+    if not isinstance(value, str):
+        raise InputContractError(f"{what} id {_shown(value)} must be a str")
+
+
+def _instance(name: str, value, cls: type) -> None:
+    """``InputContractError`` "``name`` must be a ``cls``, got ``value``" unless ``value`` is one."""
+    if not isinstance(value, cls):
+        raise InputContractError(f"{name} must be a {cls.__name__}, got {_shown(value)}")
 
 
 class DataError(Exception):

@@ -39,7 +39,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import InputContractError, ParseError
+from .errors import InputContractError, ParseError, _id
 from .model import _MAX_TOTAL_SIZE, Prediction, Project, Relationship
 
 _UNWRITABLE = frozenset(",\n\r")  # the field and line separators
@@ -90,7 +90,8 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     Rejects duplicate file ids, non-binary cells, sizes that are not ASCII
     ``[1-9][0-9]*``, a size that takes the total size above 2^53, ragged rows,
     and defect columns that touch no file; every rejection names the line and
-    column."""
+    column.  ``project_id`` must be a ``str``."""
+    _id("project", project_id)
     lines = _split_lines(text)
     if not lines:
         raise ParseError("missing header", line=1)
@@ -217,11 +218,10 @@ def format_matrix(project: Project) -> str:
     """Serialize a project back to matrix CSV; the inverse of ``parse_matrix``.
 
     Raises ``InputContractError`` for an artifact or defect id the format
-    cannot hold: one that is not a ``str``, an empty one, or one with a comma or a
-    line break."""
+    cannot hold: an empty one, or one with a comma or a line break."""
     file_ids, defect_ids = project._file_ids, project._defect_ids
     for item_id in chain(defect_ids, file_ids):
-        if not isinstance(item_id, str) or not item_id or not _UNWRITABLE.isdisjoint(item_id):
+        if not item_id or not _UNWRITABLE.isdisjoint(item_id):
             raise InputContractError(f"id {item_id!r} cannot be written to matrix CSV")
     out = [",".join(["file", "loc", *defect_ids])]
     k = len(defect_ids)

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputContractError, _number
+from .errors import InputContractError, _id, _number
 
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
@@ -57,6 +57,7 @@ class Artifact:
     size: int
 
     def __post_init__(self):
+        _id("artifact", self.id)
         name = f"the size of artifact {self.id!r}"
         size = _number(name, self.size, "an integer >= 1", lambda n: n >= 1, integer=True)
         object.__setattr__(self, "size", size)
@@ -70,13 +71,14 @@ class Defect:
     members: frozenset[str]
 
     def __post_init__(self):
+        _id("defect", self.id)
         try:  # a str would be split into characters
             members = None if isinstance(self.members, str) else frozenset(self.members)
         except TypeError:  # not an iterable of hashable ids
             members = None
-        if members is None:
+        if members is None or not all(isinstance(member, str) for member in members):
             raise InputContractError(
-                f"the members of defect {self.id!r} must be a set of artifact ids, "
+                f"the members of defect {self.id!r} must be a set of str artifact ids, "
                 f"got {self.members!r}"
             )
         object.__setattr__(self, "members", members)
@@ -132,6 +134,7 @@ class Project:
     relationship: Relationship = Relationship.N_TO_M
 
     def __post_init__(self):
+        _id("project", self.id)
         object.__setattr__(self, "artifacts", tuple(self.artifacts))
         object.__setattr__(self, "defects", tuple(self.defects))
         index: dict[str, int] = {}
@@ -401,20 +404,19 @@ def project_view(project: Project, target: Relationship) -> Project:
     )
 
 
+def _share(part: int, whole: int) -> float | None:
+    """part / whole, or None when whole is 0: the one formula of precision and recall."""
+    return part / whole if whole else None
+
+
 def precision(cm: ConfusionMatrix) -> float | None:
     """tp / (tp + fp), or None when no artifact was predicted defective."""
-    denominator = cm.tp + cm.fp
-    if denominator == 0:
-        return None
-    return cm.tp / denominator
+    return _share(cm.tp, cm.tp + cm.fp)
 
 
 def recall(cm: ConfusionMatrix) -> float | None:
     """tp / (tp + fn), or None when the project has no defective artifact."""
-    denominator = cm.tp + cm.fn
-    if denominator == 0:
-        return None
-    return cm.tp / denominator
+    return _share(cm.tp, cm.tp + cm.fn)
 
 
 def perfect_prediction(project: Project) -> Prediction:

@@ -15,8 +15,9 @@ from itertools import compress, count, repeat
 
 import numpy as np
 
-from .costs import ALL_KINDS, ModelKind, _is_failure_probability
+from .costs import KIND_BY_CODE, ModelKind, _is_failure_probability
 from .errors import InputContractError, ParseError, _number
+from .io import _UNWRITABLE
 from .model import _is_count
 from .simulation import RecordTable
 
@@ -51,11 +52,8 @@ def _csv_text(table: RecordTable) -> str:
 
     Boundaries are floats, so ``repr`` writes them as ``_csv_cell`` would, an
     unbounded one as ``inf``."""
-    for project in table.project:  # before any id is hashed
-        if not isinstance(project, str):
-            raise InputContractError(f"project id {project!r} must be a str")
     for project in set(table.project):
-        if "," in project or "\n" in project or "\r" in project:
+        if not _UNWRITABLE.isdisjoint(project):
             raise InputContractError(
                 f"project id {project!r} contains a comma or a line break, "
                 "which record CSV cannot hold"
@@ -88,8 +86,21 @@ def emit_records(records) -> str:
 
     ``records`` is a ``run_grid`` table or any iterable of records, which is
     gathered into the same columns first.  Record CSV has no quoting, so a
-    project id holding a comma or a line break is rejected."""
-    return _csv_text(RecordTable.from_records(records))
+    project id holding a comma or a line break is rejected.  Records that are
+    not a table are checked by reading the text back: ``InputContractError``
+    unless ``parse_records`` accepts it and gives the same records."""
+    if isinstance(records, RecordTable):
+        return _csv_text(records)
+    records = list(records)
+    text = _csv_text(RecordTable.from_records(records))
+    try:
+        parsed = parse_records(text)
+    except ParseError as error:
+        raise InputContractError(f"records do not read back as written: {error}") from None
+    for i, (record, read) in enumerate(zip(records, parsed)):
+        if read != record:
+            raise InputContractError(f"record {i} reads back as {read!r}, not as written")
+    return text
 
 
 def _optional_float(text: str) -> float | None:
@@ -143,12 +154,8 @@ _FIELD_RULES = {
         "true or false",
     ),
 }
-_KIND_BY_FIELDS = {(k.qa_mode.value, k.relationship.value): k for k in ALL_KINDS}
-# Positions in CSV_COLUMNS of a record's cell fields (its labeling) and of its
-# setting fields (p_qf and kind); the other fields are the record's own.
-_CELL_FIELDS = tuple(CSV_COLUMNS.index(name) for name in RecordTable.CELL_COLUMNS)
-_SETTING_FIELDS = tuple(CSV_COLUMNS.index(name) for name in ("p_qf", "qa_mode", "relationship"))
-_OWN_FIELDS = ("lower", "upper", "cost_saving")
+# A record's setting fields; its cell fields are RecordTable.CELL_COLUMNS.
+_SETTING_FIELDS = ("p_qf", "qa_mode", "relationship")
 # Record CSV is split into fields this many lines at a time.  A chunk of
 # corpus records is about 60 KB of text and 0.5 MB of field strings, reused
 # from the malloc heap; chunks of 4,096 lines held eight times that and
@@ -158,32 +165,19 @@ _CHUNK_LINES = 512
 
 def _read(name: str, texts) -> list:
     """The values of one field's texts; ValueError when one is unreadable,
-    not written as ``emit_records`` writes it, or out of range."""
-    convert, written, check, _ = _FIELD_RULES[name]
-    values = list(map(convert, texts))
-    if not (written(texts, values) and all(map(check, values))):
-        raise ValueError(f"bad value for {name!r}")
+    not written as ``emit_records`` writes it, or out of range, quoting the
+    first text (the bad one when there is one)."""
+    convert, written, check, requirement = _FIELD_RULES[name]
+    try:
+        values = list(map(convert, texts))
+        readable = written(texts, values)
+    except ValueError:
+        readable = False
+    if not readable:
+        raise ValueError(f"bad value for {name!r}: {texts[0]!r}")
+    if not all(map(check, values)):
+        raise ValueError(f"{name} must be {requirement}, got {texts[0]!r}")
     return values
-
-
-def _row_problem(fields) -> str | None:
-    """Why one row of record fields cannot be read, or None."""
-    if len(fields) != len(CSV_COLUMNS):
-        return f"expected {len(CSV_COLUMNS)} fields, found {len(fields)}"
-    row = dict(zip(CSV_COLUMNS, fields))
-    if (row["qa_mode"], row["relationship"]) not in _KIND_BY_FIELDS:
-        return f"unknown model kind {row['qa_mode']!r}/{row['relationship']!r}"
-    for name, (convert, written, check, requirement) in _FIELD_RULES.items():
-        try:
-            value = convert(row[name])
-            readable = written([row[name]], [value])
-        except ValueError:
-            readable = False
-        if not readable:
-            return f"bad value for {name!r}: {row[name]!r}"
-        if not check(value):
-            return f"{name} must be {requirement}, got {row[name]!r}"
-    return None
 
 
 class _KeyNumbers:
@@ -207,17 +201,18 @@ class _TableReader:
     """Gathers record CSV lines into table columns.
 
     Each distinct cell and setting is converted and checked once, at its
-    first row, and every field is converted a column at a time.  Only when
-    a chunk of rows fails is it searched for its first bad row, which is
-    reported at its line.
+    first row, and every field is converted a column at a time.  A chunk of
+    lines that fails is read again a line at a time, each line by a fresh
+    reader, which checks its field count, its kind, then each field of
+    ``_FIELD_RULES`` in turn (how it is written, then its range); the
+    first bad line is reported at its own line, with the first failed check.
     """
 
     def __init__(self):
         self.cells = {name: [] for name in RecordTable.CELL_COLUMNS}
         self.settings = []
         self.rows = {name: [] for name in RecordTable.ROW_COLUMNS}
-        self.cell_keys = _KeyNumbers()
-        self.setting_keys = _KeyNumbers()
+        self.keys = {"cell": _KeyNumbers(), "setting": _KeyNumbers()}
 
     def add(self, numbers, lines) -> None:
         """Append the record lines numbered ``numbers``.
@@ -227,33 +222,38 @@ class _TableReader:
         width = len(CSV_COLUMNS)
         try:
             if not set(map(str.count, lines, repeat(",", len(lines)))) <= {width - 1}:
-                raise ValueError("wrong field count")
+                raise ValueError(f"expected {width} fields, found {lines[0].count(',') + 1}")
             fields = ",".join(lines).split(",")
-            self._append([fields[i::width] for i in range(width)])
-        except ValueError:
+            self._append(dict(zip(CSV_COLUMNS, (fields[i::width] for i in range(width)))))
+        except ValueError as error:
+            if len(lines) == 1:
+                raise ParseError(str(error), line=numbers[0]) from None
             for number, line in zip(numbers, lines):
-                problem = _row_problem(line.split(","))
-                if problem is not None:
-                    raise ParseError(problem, line=number) from None
+                _TableReader().add([number], [line])
             raise
 
-    def _append(self, columns) -> None:
+    def _append(self, columns: dict) -> None:
+        """Append rows given as the column of texts of each field name."""
         first = len(self.rows["cell"])
-        cell, new = self.cell_keys.add([columns[i] for i in _CELL_FIELDS], first)
-        for name, i in zip(RecordTable.CELL_COLUMNS, _CELL_FIELDS):
-            texts = [columns[i][j] for j in new]
-            self.cells[name].extend(texts if name == "project" else _read(name, texts))
-        setting, new = self.setting_keys.add([columns[i] for i in _SETTING_FIELDS], first)
-        p_qf, qa_mode, relationship = ([columns[i][j] for j in new] for i in _SETTING_FIELDS)
-        kinds = list(map(_KIND_BY_FIELDS.get, zip(qa_mode, relationship)))
+        for key, names in (("cell", RecordTable.CELL_COLUMNS), ("setting", _SETTING_FIELDS)):
+            # each row's cell or setting number; a new one is read at its first row
+            columns[key], new = self.keys[key].add([columns[name] for name in names], first)
+            for name in names:
+                columns[name] = [columns[name][j] for j in new]
+        # a kind's code joins its two fields with "-", which no QAMode value holds
+        kinds = [
+            None if "-" in mode else KIND_BY_CODE.get(f"{mode}-{relationship}")
+            for mode, relationship in zip(columns["qa_mode"], columns["relationship"])
+        ]
         if None in kinds:
-            raise ValueError("unknown model kind")
-        self.settings.extend(zip(_read("p_qf", p_qf), kinds))
-        own = {name: _read(name, columns[CSV_COLUMNS.index(name)]) for name in _OWN_FIELDS}
-        self.rows["cell"].extend(cell)
-        self.rows["setting"].extend(setting)
-        for name, values in own.items():
-            self.rows[name].extend(values)
+            mode, relationship = columns["qa_mode"][0], columns["relationship"][0]
+            raise ValueError(f"unknown model kind {mode!r}/{relationship!r}")
+        values = {name: _read(name, columns[name]) for name in _FIELD_RULES}
+        for name in RecordTable.CELL_COLUMNS:
+            self.cells[name].extend(values.get(name, columns[name]))  # the project as text
+        self.settings.extend(zip(values["p_qf"], kinds))
+        for name in RecordTable.ROW_COLUMNS:
+            self.rows[name].extend(values.get(name, columns[name]))
 
     def table(self) -> RecordTable:
         return RecordTable(self.cells, self.settings, self.rows)

@@ -54,8 +54,8 @@ from .boundaries import _ends
 from .costs import (
     ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, _powers, qa_cost_vector,
 )
-from .errors import InputContractError, _number
-from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit
+from .errors import InputContractError, _id, _instance, _number
+from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit, _share
 
 _MASK64 = (1 << 64) - 1
 
@@ -221,7 +221,7 @@ class GridConfig:
         # floats, so that an integer setting is written as the parser reads it back
         object.__setattr__(self, "accuracies", tuple(map(float, accuracies)))
         object.__setattr__(self, "p_qf_values", tuple(sorted(set(map(float, p_qf_values)))))
-        kinds = tuple(sorted(set(kinds), key=lambda k: k.sort_key))
+        kinds = tuple(sorted(set(kinds), key=ALL_KINDS.index))
         object.__setattr__(self, "model_kinds", kinds)
 
 
@@ -267,10 +267,17 @@ class RecordTable(Sequence):
 
     @classmethod
     def from_records(cls, records) -> RecordTable:
-        """Gather records into columns, one cell per record."""
+        """Gather records into columns, one cell per record.
+
+        Each record's project must be a ``str``, its kind a ``ModelKind`` and
+        its cm a ``ConfusionMatrix``."""
         if isinstance(records, RecordTable):
             return records
         records = list(records)
+        for r in records:
+            _id("project", r.project)
+            _instance("kind", r.kind, ModelKind)
+            _instance("cm", r.cm, ConfusionMatrix)
         setting_index: dict[tuple, int] = {}
         cms = [r.cm for r in records]
         cells = {
@@ -466,8 +473,8 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
         "fp": fps,
         "tn": [n - t - f - m for t, f, m in zip(tps, fps, fns)],
         "fn": fns,
-        "precision": [t / (t + f) if t + f else None for t, f in zip(tps, fps)],
-        "recall": [t / n_defective if n_defective else None for t in tps],
+        "precision": [_share(t, t + f) for t, f in zip(tps, fps)],
+        "recall": [_share(t, n_defective) for t in tps],
     }
     rows = {
         "cell": row_cell.tolist(),

@@ -13,6 +13,7 @@ from defectcost import (
     BoundKind,
     CostParams,
     Defect,
+    GridConfig,
     InputContractError,
     ModelKind,
     Prediction,
@@ -29,6 +30,7 @@ from defectcost import (
     perfect_prediction,
     precision,
     project_view,
+    run_grid,
     theorem_boundary,
     upper_boundary,
 )
@@ -320,6 +322,23 @@ class TestTinyEscapeWeight:
         artifacts = tuple(Artifact(f"f{i}", 1) for i in range(80))
         project = Project("wide", artifacts, (Defect("d", frozenset(a.id for a in artifacts)),))
         return project, classify(project, constant_prediction(project, 1))
+
+    def test_grid_overflow_is_the_interval_without_a_warning(self):
+        # escape weight 2^-1070 is subnormal: 1070 / 2^-1070 overflows to inf,
+        # as boundary_interval's float division gives it, with no RuntimeWarning
+        artifacts = tuple(Artifact(f"f{i}", 1) for i in range(1070))
+        project = Project("wide", artifacts, (Defect("d", frozenset(a.id for a in artifacts)),))
+        config = GridConfig(accuracies=(1.0,), repetitions=1, p_qf_values=(0.5,), seed=1)
+        records = run_grid(project, config)
+        assert records[0].lower == math.inf
+        for record in records:
+            view = project_view(project, record.kind.relationship)
+            params = CostParams(p_qf=0.5, qa_mode=record.kind.qa_mode)
+            outcome = classify(view, constant_prediction(view, 1))
+            interval = boundary_interval(view, outcome, params, record.kind)
+            assert (record.lower, record.upper, record.cost_saving) == (
+                interval.lower, interval.upper, interval.cost_saving_possible
+            )
 
     def test_lower_boundary_is_the_interval_lower(self, wide):
         project, outcome = wide

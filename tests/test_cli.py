@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -145,6 +146,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("project,accuracy")
         assert len(out.strip().split("\n")) == 1 + 12
+
+    def test_simulate_subnormal_escape_weight_is_quiet(self, tmp_path, capsys):
+        # one defect over 1,070 files predicted at p_qf 0.5 has escape weight
+        # 2^-1070, a subnormal, so QA spent over it overflows to an inf lower
+        path = tmp_path / "wide.csv"
+        path.write_text("file,loc,d1\n" + "".join(f"f{i},1,1\n" for i in range(1070)))
+        argv = ["simulate", "--matrix", str(path), "--seed", "1", "--reps", "1",
+                "--acc-min", "1", "--acc-max", "1", "--p-qf", "0.5"]
+        assert cli_dispatch(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert parse_records(captured.out)[0].lower == math.inf
 
 
 class TestSimulateArguments:

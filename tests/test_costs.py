@@ -279,6 +279,19 @@ class TestParamValidation:
         with pytest.raises(InputContractError, match="qa_mode"):
             CostParams(qa_mode="size")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("x", Relationship.N_TO_M), "qa_mode must be a QAMode, got 'x'"),
+            (("const", Relationship.N_TO_M), "qa_mode must be a QAMode, got 'const'"),
+            ((QAMode.CONSTANT, "n-m"), "relationship must be a Relationship, got 'n-m'"),
+            ((Relationship.N_TO_M, QAMode.CONSTANT), "qa_mode must be a QAMode"),
+        ],
+    )
+    def test_model_kind_fields_are_checked(self, fields, message):
+        with pytest.raises(InputContractError, match=message):
+            ModelKind(*fields)
+
     @pytest.mark.parametrize("name", ["c_ratio", "c_init", "c_exec"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_scalars_finite(self, name, value):

@@ -180,9 +180,12 @@ class TestParseMatrix:
     def test_format_rejects_unwritable_id(self, bad, where):
         file_id = bad if where == "artifact" else "f"
         defect_id = bad if where == "defect" else "d"
-        project = Project("p", (Artifact(file_id, 1),), (Defect(defect_id, frozenset({file_id})),))
-        with pytest.raises(InputContractError, match="cannot be written"):
-            format_matrix(project)
+        # an id that is not a str is refused where it enters, before it is written
+        match = "cannot be written" if isinstance(bad, str) else f"{where} id 5 must be a str"
+        with pytest.raises(InputContractError, match=match):
+            format_matrix(
+                Project("p", (Artifact(file_id, 1),), (Defect(defect_id, frozenset({file_id})),))
+            )
 
 # What the mutations below insert or write over one character: cell values,
 # separators, a two-character cell, a letter, a non-ASCII letter, a digit that

@@ -251,6 +251,27 @@ class TestInvariantEnforcement:
         with pytest.raises(InputContractError, match="members of defect 'd1'"):
             Defect("d1", members)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Artifact(5, 1), "artifact id 5 must be a str"),
+            (lambda: Artifact(None, 1), "artifact id None must be a str"),
+            (lambda: Defect(5, frozenset({"a"})), "defect id 5 must be a str"),
+            (lambda: Defect("d", ["a", 5]), "members of defect 'd' must be a set of str"),
+            (lambda: Project(7, (), ()), "project id 7 must be a str"),
+            (lambda: Project(["a"], (), ()), r"project id \['a'\] must be a str"),
+            (lambda: Project(10**5000, (), ()), "project id an integer of 16610 bits"),
+            (lambda: parse_matrix("file,loc\na,1\n", project_id=7), "project id 7 must be a str"),
+        ],
+        ids=["artifact", "artifact-none", "defect", "member", "project", "unhashable-project",
+             "huge-project", "parsed-project"],
+    )
+    def test_ids_must_be_str(self, build, message):
+        # the writers and records rely on it: format_matrix and emit_records
+        # no longer test the type of an id
+        with pytest.raises(InputContractError, match=message):
+            build()
+
     def test_duplicate_artifact_ids_rejected(self):
         with pytest.raises(InputContractError, match="duplicate"):
             Project("p", (Artifact("a", 1), Artifact("a", 2)), ())

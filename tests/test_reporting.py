@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import defectcost.reporting
 from defectcost import (
     ALL_KINDS,
+    SAMPLE_AGGREGATES,
     Artifact,
     ConfusionMatrix,
     ExperimentRecord,
@@ -23,6 +24,7 @@ from defectcost import (
     Relationship,
     emit_records,
     parse_records,
+    project_from_aggregates,
     render_scatter,
     run_grid,
     sample_corpus,
@@ -120,20 +122,59 @@ class TestEmitRecords:
             emit_records(table)
 
     def test_csv_rejects_project_id_that_is_not_a_str(self):
-        table = run_grid(
-            Project(7, (Artifact("f", 1),), ()), GridConfig(accuracies=(0.5,), repetitions=1)
-        )
+        # a project that no table can hold is refused where it enters
         with pytest.raises(InputContractError, match="project id 7 must be a str"):
-            emit_records(table)
+            Project(7, (Artifact("f", 1),), ())
 
     def test_csv_rejects_unhashable_project_id(self):
-        table = run_grid(
-            Project(["a"], (Artifact("f", 1),), ()), GridConfig(accuracies=(0.5,), repetitions=1)
-        )
         with pytest.raises(InputContractError, match=r"project id \['a'\] must be a str"):
-            emit_records(table)
+            Project(["a"], (Artifact("f", 1),), ())
         with pytest.raises(InputContractError, match=r"project id \['x'\] must be a str"):
             emit_records([record(), replace(record(), project=["x"])])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"project": 7}, "project id 7 must be a str"),
+            ({"kind": "x"}, "kind must be a ModelKind, got 'x'"),
+            ({"kind": "const-n-m"}, "kind must be a ModelKind, got 'const-n-m'"),
+            ({"cm": None}, "cm must be a ConfusionMatrix, got None"),
+            ({"cm": (4, 1, 10, 6)}, "cm must be a ConfusionMatrix"),
+        ],
+    )
+    def test_hand_built_record_types_are_checked(self, fields, message):
+        records = [record(), replace(record(), **fields)]
+        with pytest.raises(InputContractError, match=message):
+            emit_records(records)
+        with pytest.raises(InputContractError, match=message):
+            trend(records, "precision", CONST_NM, "lower")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"accuracy": "0.5"}, "record 1 reads back as"),
+            ({"cost_saving": "yes"}, "record 1 reads back as"),
+            ({"precision": "0.8"}, "record 1 reads back as"),
+            ({"lower": "1.0"}, "record 1 reads back as"),
+            ({"repetition": -1}, "line 3: repetition must be >= 0, got '-1'"),
+            ({"repetition": 0.0}, "line 3: bad value for 'repetition': '0.0'"),
+            ({"accuracy": 1}, "line 3: bad value for 'accuracy': '1'"),
+            ({"precision": 2.0}, r"line 3: precision must be in \[0, 1\] or empty, got '2.0'"),
+            ({"lower": math.nan}, "line 3: bad value for 'lower': 'nan'"),
+            ({"upper": -1.0}, "line 3: upper must be >= 0 or inf, got '-1.0'"),
+        ],
+    )
+    def test_hand_built_records_are_read_back(self, fields, message):
+        with pytest.raises(InputContractError, match=message):
+            emit_records(iter([record(), replace(record(), **fields)]))
+
+    def test_a_table_is_not_read_back(self, project_e, monkeypatch):
+        table = run_grid(project_e, GridConfig(accuracies=(0.5,), repetitions=2, seed=4))
+        text = emit_records(table)
+        monkeypatch.setattr(defectcost.reporting, "parse_records", None)
+        assert emit_records(table) == text
+        with pytest.raises(TypeError):
+            emit_records(list(table))
 
 
 class TestParseRecordsStrict:
@@ -537,6 +578,71 @@ class TestParseErrorLines:
         with pytest.raises(ParseError, match="header") as err:
             parse_records("\n\n" + "\n".join(lines[1:]))
         assert err.value.line == 3
+
+
+@pytest.fixture(scope="module")
+def cayenne_lines():
+    """Record CSV lines of a cayenne grid: 1,140 records, so three chunks."""
+    spec = next(s for s in SAMPLE_AGGREGATES if s.name == "cayenne")
+    project = project_from_aggregates(spec, seed=2024)
+    return emit_records(run_grid(project, GridConfig(repetitions=5, seed=7))).split("\n")
+
+
+def _error(text):
+    """The message of the ``ParseError`` that ``parse_records(text)`` raises, without
+    its location, and its line; None when the text is read."""
+    try:
+        parse_records(text)
+    except ParseError as error:
+        return str(error).removeprefix(f"line {error.line}: "), error.line
+    return None
+
+
+class TestOneLineAgreesWithItsChunk:
+    """A chunk that fails is read again a line at a time, each line as the whole
+    text of one line would be read, so both give the same error."""
+
+    AT = defectcost.reporting._CHUNK_LINES + 100  # a line of the second chunk
+
+    def _check(self, lines, corrupted):
+        lines = list(lines)
+        lines[self.AT] = corrupted
+        whole = _error("\n".join(lines))
+        alone = _error(f"{lines[0]}\n{corrupted}\n")
+        if alone is None:
+            assert whole is None
+        else:
+            assert whole == (alone[0], self.AT + 1)
+            assert alone[1] == 2
+        return alone
+
+    @pytest.mark.parametrize("column", CSV_COLUMNS)
+    def test_each_column(self, cayenne_lines, column):
+        outcomes = [
+            self._check(cayenne_lines, _corrupt(cayenne_lines[self.AT], column, value))
+            for value in ("x", "-1", "", "1e999", "x,y")
+        ]
+        assert any(outcomes)  # every column has a text it refuses
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"accuracy": "2.0", "tp": "x"}, "accuracy must be in [0, 1], got '2.0'"),
+            ({"tp": "x", "p_qf": "1.0"}, "p_qf must be in [0, 1), got '1.0'"),
+            ({"accuracy": "x", "relationship": "y"}, "unknown model kind {qa_mode!r}/'y'"),
+            ({"qa_mode": "const-n", "relationship": "m"}, "unknown model kind 'const-n'/'m'"),
+            ({"lower": "-1.0", "upper": "x"}, "lower must be >= 0 or inf, got '-1.0'"),
+            ({"recall": "x", "cost_saving": "x", "project": "a,b"}, "expected 15 fields, found 16"),
+        ],
+    )
+    def test_order_of_the_checks_of_one_line(self, cayenne_lines, fields, message):
+        """The field count, then the kind, then each field of ``_FIELD_RULES`` in
+        turn, each for how it is written before its range."""
+        line = cayenne_lines[self.AT]
+        for column, value in fields.items():
+            line = _corrupt(line, column, value)
+        qa_mode = cayenne_lines[self.AT].split(",")[CSV_COLUMNS.index("qa_mode")]
+        assert self._check(cayenne_lines, line) == (message.format(qa_mode=qa_mode), 2)
 
 
 class TestColumnFedTrend:

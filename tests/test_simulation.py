@@ -200,6 +200,14 @@ class TestGridConfig:
         with pytest.raises(InputContractError, match=next(iter(settings))):
             GridConfig(**settings)
 
+    def test_kind_of_unknown_fields_is_refused_where_it_is_built(self):
+        # GridConfig orders kinds by their place in ALL_KINDS, so each must be one
+        with pytest.raises(InputContractError, match="qa_mode must be a QAMode, got 'x'"):
+            GridConfig(model_kinds=(ModelKind("x", "y"),))
+        kinds = (ALL_KINDS[5], ALL_KINDS[0], ALL_KINDS[3], ALL_KINDS[0])
+        ordered = (ALL_KINDS[0], ALL_KINDS[3], ALL_KINDS[5])
+        assert GridConfig(model_kinds=kinds).model_kinds == ordered
+
     @pytest.mark.parametrize("repetitions", [2.5, True, 3.0, "3", None])
     def test_repetitions_must_be_an_integer(self, repetitions):
         with pytest.raises(InputContractError, match="repetitions"):
