@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputContractError, _id, _number
+from .errors import InputContractError, _id, _instance, _number
 
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
@@ -135,6 +135,7 @@ class Project:
 
     def __post_init__(self):
         _id("project", self.id)
+        _instance("relationship", self.relationship, Relationship)
         object.__setattr__(self, "artifacts", tuple(self.artifacts))
         object.__setattr__(self, "defects", tuple(self.defects))
         index: dict[str, int] = {}
@@ -381,6 +382,7 @@ def project_view(project: Project, target: Relationship) -> Project:
     project's arrays; only its member incidence is new, and its defect ids are
     derived when first read.
     """
+    _instance("target", target, Relationship)
     if project.relationship is not Relationship.N_TO_M:
         raise InputContractError(
             f"views are derived from n-m data, got a {project.relationship.value} project"

@@ -16,9 +16,9 @@ from itertools import compress, count, repeat
 import numpy as np
 
 from .costs import KIND_BY_CODE, ModelKind, _is_failure_probability
-from .errors import InputContractError, ParseError, _number
+from .errors import InputContractError, ParseError, _id, _instance, _number
 from .io import _UNWRITABLE
-from .model import _is_count
+from .model import ConfusionMatrix, _is_count
 from .simulation import RecordTable
 
 CSV_COLUMNS = (
@@ -47,17 +47,22 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_text(table: RecordTable) -> str:
-    """The record CSV, formatting each cell's and each setting's fields once.
-
-    Boundaries are floats, so ``repr`` writes them as ``_csv_cell`` would, an
-    unbounded one as ``inf``."""
-    for project in set(table.project):
+def _check_project_ids(projects) -> None:
+    """``InputContractError`` unless every project id can be held by record CSV."""
+    for project in set(projects):
         if not _UNWRITABLE.isdisjoint(project):
             raise InputContractError(
                 f"project id {project!r} contains a comma or a line break, "
                 "which record CSV cannot hold"
             )
+
+
+def _csv_text(table: RecordTable) -> str:
+    """The record CSV, formatting each cell's and each setting's fields once.
+
+    Boundaries are floats, so ``repr`` writes them as ``_csv_cell`` would, an
+    unbounded one as ``inf``."""
+    _check_project_ids(table.project)
     heads = [
         f"{_csv_cell(p)},{_csv_cell(a)},{_csv_cell(r)}"
         for p, a, r in zip(table.project, table.accuracy, table.repetition)
@@ -81,26 +86,51 @@ def _csv_text(table: RecordTable) -> str:
     return "\n".join(lines)
 
 
+def _table(records) -> tuple[RecordTable, str | None]:
+    """``records`` as a table, with the record CSV read back when they are not one.
+
+    Other records must have a ``str`` project, a ``ModelKind`` kind and a
+    ``ConfusionMatrix`` cm.  They are written one line per record and read
+    back by ``parse_records``: ``InputContractError`` unless it accepts the
+    text and gives the same records."""
+    if isinstance(records, RecordTable):
+        return records, None
+    records = list(records)
+    for r in records:
+        _id("project", r.project)
+        _instance("kind", r.kind, ModelKind)
+        _instance("cm", r.cm, ConfusionMatrix)
+    _check_project_ids(r.project for r in records)
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(
+        ",".join(map(_csv_cell, (
+            r.project, r.accuracy, r.repetition, r.p_qf, r.kind.qa_mode.value,
+            r.kind.relationship.value, r.cm.tp, r.cm.fp, r.cm.tn, r.cm.fn, r.precision,
+            r.recall, r.lower, r.upper, "true" if r.cost_saving else "false",
+        )))
+        for r in records
+    )
+    lines.append("")
+    text = "\n".join(lines)
+    try:
+        table = parse_records(text)
+    except ParseError as error:
+        raise InputContractError(f"records do not read back as written: {error}") from None
+    for i, (record, read) in enumerate(zip(records, table)):
+        if read != record:
+            raise InputContractError(f"record {i} reads back as {read!r}, not as written")
+    return table, text
+
+
 def emit_records(records) -> str:
     """Serialize experiment records to record CSV, one row per record.
 
-    ``records`` is a ``run_grid`` table or any iterable of records, which is
-    gathered into the same columns first.  Record CSV has no quoting, so a
-    project id holding a comma or a line break is rejected.  Records that are
-    not a table are checked by reading the text back: ``InputContractError``
-    unless ``parse_records`` accepts it and gives the same records."""
-    if isinstance(records, RecordTable):
-        return _csv_text(records)
-    records = list(records)
-    text = _csv_text(RecordTable.from_records(records))
-    try:
-        parsed = parse_records(text)
-    except ParseError as error:
-        raise InputContractError(f"records do not read back as written: {error}") from None
-    for i, (record, read) in enumerate(zip(records, parsed)):
-        if read != record:
-            raise InputContractError(f"record {i} reads back as {read!r}, not as written")
-    return text
+    ``records`` is a table from ``run_grid`` or ``parse_records``, or any
+    iterable of records, which is written and read back as ``trend`` reads it.
+    Record CSV has no quoting, so a project id holding a comma or a line break
+    is rejected."""
+    table, text = _table(records)
+    return _csv_text(table) if text is None else text
 
 
 def _optional_float(text: str) -> float | None:
@@ -326,13 +356,16 @@ def _points(records, metric: str, kind: ModelKind, bounds) -> dict:
 
     Maps each bound to (metric values, bound values, excluded count); a
     record is excluded when its metric is undefined or its bound unbounded.
-    Any iterable of records is gathered into a ``RecordTable`` first."""
+    Records that are not a ``RecordTable`` are written as record CSV and read
+    back first (``_table``), so they are checked as ``parse_records`` checks
+    a file."""
     if metric not in METRICS:
         raise InputContractError(f"metric must be one of {METRICS}, got {metric!r}")
     for bound in bounds:
         if bound not in BOUNDS:
             raise InputContractError(f"bound must be one of {BOUNDS}, got {bound!r}")
-    table = RecordTable.from_records(records)
+    _instance("kind", kind, ModelKind)
+    table, _ = _table(records)
     settings = [s for s, (_, k) in enumerate(table.settings) if k == kind]
     rows = np.flatnonzero(np.isin(np.asarray(table.setting, dtype=np.intp), settings))
     cell_metric = [math.nan if m is None else m for m in getattr(table, metric)]

@@ -54,7 +54,7 @@ from .boundaries import _ends
 from .costs import (
     ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, _powers, qa_cost_vector,
 )
-from .errors import InputContractError, _id, _instance, _number
+from .errors import InputContractError, _number
 from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit, _share
 
 _MASK64 = (1 << 64) - 1
@@ -250,7 +250,8 @@ class RecordTable(Sequence):
     (p_qf, kind) pair.  Row ``i`` evaluates cell ``cell[i]`` under setting
     ``setting[i]``, and has its own ``lower``, ``upper`` and ``cost_saving``.
     Every column is a list of the values a record holds.  Records are built on
-    access; a table equals any sequence of the same records.
+    access; a table equals any sequence of the same records.  Only ``run_grid``
+    and ``parse_records`` build tables, so their values are in the reader's ranges.
     """
 
     CELL_COLUMNS = (
@@ -264,45 +265,6 @@ class RecordTable(Sequence):
         self.settings = tuple(settings)
         for name in self.ROW_COLUMNS:
             setattr(self, name, rows[name])
-
-    @classmethod
-    def from_records(cls, records) -> RecordTable:
-        """Gather records into columns, one cell per record.
-
-        Each record's project must be a ``str``, its kind a ``ModelKind`` and
-        its cm a ``ConfusionMatrix``."""
-        if isinstance(records, RecordTable):
-            return records
-        records = list(records)
-        for r in records:
-            _id("project", r.project)
-            _instance("kind", r.kind, ModelKind)
-            _instance("cm", r.cm, ConfusionMatrix)
-        setting_index: dict[tuple, int] = {}
-        cms = [r.cm for r in records]
-        cells = {
-            "project": [r.project for r in records],
-            "accuracy": [r.accuracy for r in records],
-            "repetition": [r.repetition for r in records],
-            "tp": [cm.tp for cm in cms],
-            "fp": [cm.fp for cm in cms],
-            "tn": [cm.tn for cm in cms],
-            "fn": [cm.fn for cm in cms],
-            "precision": [r.precision for r in records],
-            "recall": [r.recall for r in records],
-        }
-        rows = {
-            "cell": list(range(len(records))),
-            "setting": [
-                setting_index.setdefault((r.p_qf, r.kind), len(setting_index)) for r in records
-            ],
-            # floats, as run_grid and parse_records store them, so that a numpy
-            # float boundary is written as the decimal the parser reads back
-            "lower": [float(r.lower) for r in records],
-            "upper": [float(r.upper) for r in records],
-            "cost_saving": [r.cost_saving for r in records],
-        }
-        return cls(cells, list(setting_index), rows)
 
     def __len__(self) -> int:
         return len(self.cell)

@@ -33,9 +33,11 @@ from defectcost import (
     project_from_aggregates,
     project_view,
     recall,
+    render_scatter,
     run_grid,
     sample_corpus,
     simulate_prediction,
+    trend,
 )
 
 from . import matrix_reference
@@ -262,13 +264,20 @@ class TestInvariantEnforcement:
             (lambda: Project(["a"], (), ()), r"project id \['a'\] must be a str"),
             (lambda: Project(10**5000, (), ()), "project id an integer of 16610 bits"),
             (lambda: parse_matrix("file,loc\na,1\n", project_id=7), "project id 7 must be a str"),
+            (lambda: Project("p", (), (), relationship="1-1"),
+             "relationship must be a Relationship, got '1-1'"),
+            (lambda: project_view(Project("p", (), ()), "1-1"),
+             "target must be a Relationship, got '1-1'"),
+            (lambda: trend([], "precision", "x", "lower"), "kind must be a ModelKind, got 'x'"),
+            (lambda: render_scatter([], "precision", "x"), "kind must be a ModelKind, got 'x'"),
         ],
         ids=["artifact", "artifact-none", "defect", "member", "project", "unhashable-project",
-             "huge-project", "parsed-project"],
+             "huge-project", "parsed-project", "relationship", "view-target", "trend-kind",
+             "scatter-kind"],
     )
     def test_ids_must_be_str(self, build, message):
         # the writers and records rely on it: format_matrix and emit_records
-        # no longer test the type of an id
+        # no longer test the type of an id; an enum argument is checked the same way
         with pytest.raises(InputContractError, match=message):
             build()
 

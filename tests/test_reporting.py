@@ -37,6 +37,12 @@ from .record_reference import reference_parse_records, reference_trend
 from .strategies import projects
 
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
+# Every function that takes records, called with the records alone.
+READERS = (
+    emit_records,
+    lambda records: trend(records, "precision", CONST_NM, "lower"),
+    lambda records: render_scatter(records, "precision", CONST_NM),
+)
 
 
 def record(
@@ -144,10 +150,9 @@ class TestEmitRecords:
     )
     def test_hand_built_record_types_are_checked(self, fields, message):
         records = [record(), replace(record(), **fields)]
-        with pytest.raises(InputContractError, match=message):
-            emit_records(records)
-        with pytest.raises(InputContractError, match=message):
-            trend(records, "precision", CONST_NM, "lower")
+        for read in READERS:
+            with pytest.raises(InputContractError, match=message):
+                read(records)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -162,19 +167,24 @@ class TestEmitRecords:
             ({"precision": 2.0}, r"line 3: precision must be in \[0, 1\] or empty, got '2.0'"),
             ({"lower": math.nan}, "line 3: bad value for 'lower': 'nan'"),
             ({"upper": -1.0}, "line 3: upper must be >= 0 or inf, got '-1.0'"),
+            ({"lower": None}, "line 3: bad value for 'lower': ''"),
+            ({"lower": "x"}, "line 3: bad value for 'lower': 'x'"),
+            ({"lower": -5.0}, "line 3: lower must be >= 0 or inf, got '-5.0'"),
         ],
     )
     def test_hand_built_records_are_read_back(self, fields, message):
-        with pytest.raises(InputContractError, match=message):
-            emit_records(iter([record(), replace(record(), **fields)]))
+        for read in READERS:
+            with pytest.raises(InputContractError, match=message):
+                read(iter([record(), replace(record(), **fields)]))
 
     def test_a_table_is_not_read_back(self, project_e, monkeypatch):
         table = run_grid(project_e, GridConfig(accuracies=(0.5,), repetitions=2, seed=4))
-        text = emit_records(table)
+        results = [read(table) for read in READERS]
         monkeypatch.setattr(defectcost.reporting, "parse_records", None)
-        assert emit_records(table) == text
-        with pytest.raises(TypeError):
-            emit_records(list(table))
+        assert [read(table) for read in READERS] == results
+        for read in READERS:
+            with pytest.raises(TypeError):
+                read(list(table))
 
 
 class TestParseRecordsStrict:
