@@ -30,7 +30,7 @@ from .costs import (
     induced_inputs,
 )
 from .errors import DataError, InputContractError, ParseError
-from .io import SummaryStats, format_matrix, parse_matrix, parse_prediction, summarize
+from .io import format_matrix, parse_matrix, parse_prediction, summarize
 from .model import (
     Artifact,
     ConfusionMatrix,
@@ -91,7 +91,6 @@ __all__ = [
     "QAMode",
     "Relationship",
     "SAMPLE_AGGREGATES",
-    "SummaryStats",
     "TrendSeries",
     "UNBOUNDED",
     "boundary_interval",

@@ -41,23 +41,10 @@ def _load_view(args) -> tuple:
     return kind, view, outcome
 
 
-def _cmd_validate(args) -> int:
-    project = parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem)
-    stats = summarize(project)
-    print(
-        f"valid: artifacts={stats.n_artifacts} defective={stats.n_defective} "
-        f"defects={stats.n_defects}"
-    )
-    return 0
-
-
-def _cmd_summarize(args) -> int:
-    stats = summarize(parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem))
-    print(
-        f"artifacts={stats.n_artifacts} defective={stats.n_defective} "
-        f"defects={stats.n_defects} mean_members={stats.mean_members:g} "
-        f"mean_size={stats.mean_size:g}"
-    )
+def _cmd_aggregates(args) -> int:
+    """Print the matrix's aggregates on the subcommand's own ``line``."""
+    spec = summarize(parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem))
+    print(args.line.format_map(vars(spec)))
     return 0
 
 
@@ -155,11 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a defect matrix and report its invariants")
     p.add_argument("matrix")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(
+        func=_cmd_aggregates,
+        line="valid: artifacts={n_artifacts} defective={n_defective} defects={n_defects}",
+    )
 
     p = sub.add_parser("summarize", help="print aggregate statistics of a defect matrix")
     p.add_argument("matrix")
-    p.set_defaults(func=_cmd_summarize)
+    p.set_defaults(
+        func=_cmd_aggregates,
+        line="artifacts={n_artifacts} defective={n_defective} defects={n_defects} "
+        "mean_members={mean_members:g} mean_size={mean_size:g}",
+    )
 
     p = sub.add_parser("cost", help="cost of a prediction and profit against both baselines")
     p.add_argument("--matrix", required=True)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of a number, of an id
-and of an argument of a given type."""
+"""Exception types shared across the package, and the one check of a number, of an id,
+of a set of ids and of an argument of a given type."""
 
 import numpy as np
 
@@ -38,6 +38,20 @@ def _id(what: str, value) -> None:
     """``InputContractError`` "``what`` id ``value`` must be a str" unless ``value`` is one."""
     if not isinstance(value, str):
         raise InputContractError(f"{what} id {_shown(value)} must be a str")
+
+
+def _ids(subject: str, what: str, value) -> frozenset:
+    """``value`` as a ``frozenset``, if it is an iterable of ``str`` ids and not itself
+    a ``str``; else ``InputContractError`` "``subject`` must be a set of str ``what`` ids"."""
+    try:  # a str would be split into characters
+        ids = None if isinstance(value, str) else frozenset(value)
+    except TypeError:  # not an iterable of hashable ids
+        ids = None
+    if ids is None or not all(isinstance(i, str) for i in ids):
+        raise InputContractError(
+            f"{subject} must be a set of str {what} ids, got {_shown(value)}"
+        )
+    return ids
 
 
 def _instance(name: str, value, cls: type) -> None:

@@ -34,13 +34,13 @@ locate an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import InputContractError, ParseError, _id
 from .model import _MAX_TOTAL_SIZE, Prediction, Project, Relationship
+from .synthetic import AggregateSpec
 
 _UNWRITABLE = frozenset(",\n\r")  # the field and line separators
 _LABELS = {"0": 0, "1": 1}
@@ -283,28 +283,14 @@ def _labels_by_row(rows: list[str], project: Project) -> dict[str, int]:
     return labels
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Aggregate statistics of one project's artifacts and defects."""
-
-    n_artifacts: int
-    n_defective: int
-    n_defects: int
-    mean_members: float
-    mean_size: float
-
-    @property
-    def defect_free(self) -> bool:
-        """True when the project has no defect; mean_members is then a filler 0."""
-        return self.n_defects == 0
-
-
-def summarize(project: Project) -> SummaryStats:
-    """Project-level aggregates: counts, mean defect spread, mean file size."""
+def summarize(project: Project) -> AggregateSpec:
+    """The aggregates of ``project``, named by its id: counts, mean defect spread,
+    mean file size; ``project_from_aggregates`` builds a project that matches them."""
     n_artifacts = len(project.sizes)
     cardinalities = project.defect_cardinalities
     n_defects = len(cardinalities)
-    return SummaryStats(
+    return AggregateSpec(
+        name=project.id,
         n_artifacts=n_artifacts,
         n_defective=int(np.count_nonzero(project.defective_mask)),
         n_defects=n_defects,

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputContractError, _id, _instance, _number
+from .errors import InputContractError, _id, _ids, _instance, _number
 
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
@@ -72,15 +72,7 @@ class Defect:
 
     def __post_init__(self):
         _id("defect", self.id)
-        try:  # a str would be split into characters
-            members = None if isinstance(self.members, str) else frozenset(self.members)
-        except TypeError:  # not an iterable of hashable ids
-            members = None
-        if members is None or not all(isinstance(member, str) for member in members):
-            raise InputContractError(
-                f"the members of defect {self.id!r} must be a set of str artifact ids, "
-                f"got {self.members!r}"
-            )
+        members = _ids(f"the members of defect {self.id!r}", "artifact", self.members)
         object.__setattr__(self, "members", members)
         if not self.members:
             raise InputContractError(f"defect {self.id!r} has no members")
@@ -290,7 +282,9 @@ class OutcomeSummary:
 
     ``predicted_artifacts`` holds the ids labeled defective; it is required
     because quality-assurance costs accrue per predicted artifact, which the
-    confusion matrix alone cannot recover when costs vary by artifact.
+    confusion matrix alone cannot recover when costs vary by artifact.  Each
+    id set is an iterable of ``str`` ids, not itself a ``str``, stored as a
+    ``frozenset``, and ``cm`` is a ``ConfusionMatrix``.
 
     An outcome from ``classify`` holds the project it was classified on as
     ``_project``, and the boolean masks ``_picked`` (per artifact: labeled
@@ -304,6 +298,12 @@ class OutcomeSummary:
     predicted_artifacts: frozenset[str]
 
     _project = None  # not a field: set only by classify
+
+    def __post_init__(self):
+        _instance("cm", self.cm, ConfusionMatrix)
+        for name in ("predicted_defects", "missed_defects", "predicted_artifacts"):
+            what = "artifact" if name == "predicted_artifacts" else "defect"
+            object.__setattr__(self, name, _ids(name, what, getattr(self, name)))
 
     def __getattr__(self, name):
         """Build an id set from the masks on first access."""

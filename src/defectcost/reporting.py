@@ -19,7 +19,7 @@ from .costs import KIND_BY_CODE, ModelKind, _is_failure_probability
 from .errors import InputContractError, ParseError, _id, _instance, _number
 from .io import _UNWRITABLE
 from .model import ConfusionMatrix, _is_count
-from .simulation import RecordTable
+from .simulation import ExperimentRecord, RecordTable
 
 CSV_COLUMNS = (
     "project",
@@ -92,7 +92,8 @@ def _table(records) -> tuple[RecordTable, str | None]:
     Other records must have a ``str`` project, a ``ModelKind`` kind and a
     ``ConfusionMatrix`` cm.  They are written one line per record and read
     back by ``parse_records``: ``InputContractError`` unless it accepts the
-    text and gives the same records."""
+    text and gives the same records, each compared with its row as one flat
+    tuple of fields, so that no record is built to compare it."""
     if isinstance(records, RecordTable):
         return records, None
     records = list(records)
@@ -116,9 +117,18 @@ def _table(records) -> tuple[RecordTable, str | None]:
         table = parse_records(text)
     except ParseError as error:
         raise InputContractError(f"records do not read back as written: {error}") from None
-    for i, (record, read) in enumerate(zip(records, table)):
-        if read != record:
-            raise InputContractError(f"record {i} reads back as {read!r}, not as written")
+    cells = list(zip(*(getattr(table, name) for name in RecordTable.CELL_COLUMNS)))
+    rows = zip(table.cell, table.setting, table.lower, table.upper, table.cost_saving)
+    for i, (r, (c, s, *ends)) in enumerate(zip(records, rows)):
+        # the exact types, as an ExperimentRecord's and a ConfusionMatrix's __eq__ require
+        if (
+            type(r) is not ExperimentRecord
+            or type(r.cm) is not ConfusionMatrix
+            or (r.project, r.accuracy, r.repetition, r.cm.tp, r.cm.fp, r.cm.tn, r.cm.fn,
+                r.precision, r.recall, r.p_qf, r.kind, r.lower, r.upper, r.cost_saving)
+            != (*cells[c], *table.settings[s], *ends)
+        ):
+            raise InputContractError(f"record {i} reads back as {table[i]!r}, not as written")
     return table, text
 
 

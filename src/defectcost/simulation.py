@@ -54,7 +54,7 @@ from .boundaries import _ends
 from .costs import (
     ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, _powers, qa_cost_vector,
 )
-from .errors import InputContractError, _number
+from .errors import InputContractError, _instance, _number
 from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit, _share
 
 _MASK64 = (1 << 64) - 1
@@ -214,8 +214,7 @@ class GridConfig:
         seed = _uint64("seed", self.seed)
         kinds = _items("model_kinds", self.model_kinds, "ModelKinds")
         for kind in kinds:
-            if not isinstance(kind, ModelKind):
-                raise InputContractError(f"model_kinds must hold ModelKinds, got {kind!r}")
+            _instance("model_kinds", kind, ModelKind)
         object.__setattr__(self, "repetitions", repetitions)
         object.__setattr__(self, "seed", seed)
         # floats, so that an integer setting is written as the parser reads it back

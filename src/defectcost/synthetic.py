@@ -3,8 +3,9 @@
 ``project_from_aggregates`` builds a random project whose artifact count,
 defective-artifact count, defect count, mean defect spread, and mean file size
 match a target aggregate exactly (counts) or to rounding (means).
-``SAMPLE_AGGREGATES`` lists the aggregates of fifteen open-source Java
-projects, giving realistically shaped data without shipping any real data.
+``SAMPLE_AGGREGATES`` lists the aggregates that ``summarize`` gives for
+fifteen open-source Java projects, rounded, giving realistically shaped data
+without shipping any real data.
 
 A project is a pure function of its spec and seed, and the sequence of draws
 made from the numpy ``Generator`` is part of that contract: a ``Generator``
@@ -27,8 +28,9 @@ from .model import Project, Relationship, _check_total_size, _is_count
 
 @dataclass(frozen=True)
 class AggregateSpec:
-    """Target aggregates for a generated project: the three counts are integers
-    >= 0 and the two means finite numbers."""
+    """A project's aggregates: what ``summarize`` measures of a project and what
+    ``project_from_aggregates`` targets.  The three counts are integers >= 0 and
+    the two means finite numbers."""
 
     name: str
     n_artifacts: int
@@ -36,6 +38,11 @@ class AggregateSpec:
     n_defects: int
     mean_members: float
     mean_size: float
+
+    @property
+    def defect_free(self) -> bool:
+        """True when the project has no defect; mean_members is then a filler 0."""
+        return self.n_defects == 0
 
 
 SAMPLE_AGGREGATES: tuple[AggregateSpec, ...] = (

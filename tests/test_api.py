@@ -42,7 +42,7 @@ PUBLIC_NAMES = (
     "DEFAULT_P_QF_VALUES", "DataError", "Defect", "ExperimentRecord", "GeneralCostInputs",
     "GridConfig", "InputContractError", "KIND_BY_CODE", "ModelKind", "OutcomeSummary",
     "ParseError", "Prediction", "Project", "QAMode", "Relationship", "SAMPLE_AGGREGATES",
-    "SummaryStats", "TrendSeries", "UNBOUNDED", "boundary_interval", "cell_seed", "classify",
+    "TrendSeries", "UNBOUNDED", "boundary_interval", "cell_seed", "classify",
     "constant_prediction", "cost_general", "cost_init", "cost_random", "emit_records",
     "format_matrix", "induced_inputs", "lower_boundary", "parse_matrix", "parse_prediction",
     "parse_records", "perfect_prediction", "precision", "project_from_aggregates",
@@ -53,7 +53,7 @@ PUBLIC_NAMES = (
 
 def test_public_names_are_pinned():
     assert tuple(sorted(defectcost.__all__)) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     for name in PUBLIC_NAMES:
         assert hasattr(defectcost, name)
 
@@ -323,9 +323,7 @@ def test_numpy_labels_are_stored_as_int(call, label, project_e):
 
 # Public dataclasses that a computation returns rather than takes: their
 # numbers are results, so they are not checked.
-RESULT_TYPES = (
-    "BoundaryCondition", "BoundaryInterval", "ExperimentRecord", "SummaryStats", "TrendSeries",
-)
+RESULT_TYPES = ("BoundaryCondition", "BoundaryInterval", "ExperimentRecord", "TrendSeries")
 # AggregateSpec keeps its numbers as given; project_from_aggregates checks
 # them when it reads the spec.
 CHECKED_BY = {"AggregateSpec": "project_from_aggregates"}

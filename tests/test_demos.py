@@ -19,7 +19,7 @@ import defectcost
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 STDOUT_SHA256 = {
-    "01_worked_example.py": "bce001c430deec302db9f73f29624ae8ecc12c7c6c0d8f523a2af5acdd5f68c3",
+    "01_worked_example.py": "167e72c54022bbee562181299ad40e7c42efb64af26941877c579ed760cd3ede",
     "02_boundary_trends.py": "ff76dcd3ecd39797f7f267089e6d9e83b93930d9b1d4ce2ff71478f42dd7f131",
     "03_incidence_views.py": "896c2dffd88b7ffeb252c5e2b5cceb6c6813abf5195c42be61450ce508cdfd97",
 }

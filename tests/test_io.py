@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import defectcost.io
 from defectcost import (
+    AggregateSpec,
     Artifact,
     Defect,
     InputContractError,
@@ -416,6 +417,7 @@ class TestSummarize:
         assert stats.mean_members == 1.5
         assert stats.mean_size == pytest.approx(160 / 3)
         assert not stats.defect_free
+        assert stats == AggregateSpec("E", 3, 2, 2, 1.5, 160 / 3)
 
     def test_empty_project(self):
         stats = summarize(parse_matrix("file,loc\n"))
@@ -431,6 +433,16 @@ class TestSummarize:
         assert stats.n_defects == 33
         assert stats.mean_members == pytest.approx(2.91, abs=0.01)
         assert stats.mean_size == pytest.approx(121.82, abs=0.5)
+
+    def test_a_corpus_project_has_a_synthetic_twin(self):
+        for project in sample_corpus(seed=3):
+            spec = summarize(project)
+            assert summarize(project_from_aggregates(spec, seed=4)) == spec
+
+    @given(projects(), st.sampled_from(Relationship), st.integers(0, 2**32))
+    def test_a_synthetic_twin_has_the_same_aggregates(self, project, target, seed):
+        spec = summarize(project_view(project, target))
+        assert summarize(project_from_aggregates(spec, seed)) == spec
 
     @given(projects())
     def test_one_to_m_defect_count_is_total_spread(self, project):

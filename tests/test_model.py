@@ -15,6 +15,7 @@ from defectcost import (
     Defect,
     GridConfig,
     InputContractError,
+    OutcomeSummary,
     Prediction,
     Project,
     Relationship,
@@ -43,6 +44,7 @@ from defectcost import (
 from . import matrix_reference
 from .strategies import labeled_projects, projects, random_project
 
+CM = ConfusionMatrix(tp=1, fp=0, tn=0, fn=0)
 
 def split_by_mask(project):
     """(defective, clean) artifact ids as ``Project.defective_mask`` marks them."""
@@ -270,14 +272,25 @@ class TestInvariantEnforcement:
              "target must be a Relationship, got '1-1'"),
             (lambda: trend([], "precision", "x", "lower"), "kind must be a ModelKind, got 'x'"),
             (lambda: render_scatter([], "precision", "x"), "kind must be a ModelKind, got 'x'"),
+            (lambda: Defect("d", 10**5000),
+             "members of defect 'd' must be a set of str artifact ids, got an integer of 16610"),
+            (lambda: OutcomeSummary(None, (), (), ()), "cm must be a ConfusionMatrix, got None"),
+            (lambda: OutcomeSummary(CM, (), (), "s1"),
+             "predicted_artifacts must be a set of str artifact ids, got 's1'"),
+            (lambda: OutcomeSummary(CM, [1], (), ()),
+             r"predicted_defects must be a set of str defect ids, got \[1\]"),
+            (lambda: OutcomeSummary(CM, (), None, ()),
+             "missed_defects must be a set of str defect ids, got None"),
         ],
         ids=["artifact", "artifact-none", "defect", "member", "project", "unhashable-project",
              "huge-project", "parsed-project", "relationship", "view-target", "trend-kind",
-             "scatter-kind"],
+             "scatter-kind", "huge-members", "outcome-cm", "outcome-artifacts",
+             "outcome-predicted", "outcome-missed"],
     )
     def test_ids_must_be_str(self, build, message):
         # the writers and records rely on it: format_matrix and emit_records
-        # no longer test the type of an id; an enum argument is checked the same way
+        # no longer test the type of an id; an enum argument is checked the same way,
+        # and so are the confusion matrix and id sets of a hand-built outcome
         with pytest.raises(InputContractError, match=message):
             build()
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,6 +177,24 @@ class TestEmitRecords:
         for read in READERS:
             with pytest.raises(InputContractError, match=message):
                 read(iter([record(), replace(record(), **fields)]))
+
+    def test_a_record_of_another_type_is_refused(self):
+        # fields equal to those read back, held in a type other than the one read back
+        class Record(ExperimentRecord):
+            pass
+
+        class Counts(ConfusionMatrix):
+            pass
+
+        fields = vars(record())
+        for other in (
+            Record(**fields),
+            SimpleNamespace(**fields),
+            replace(record(), cm=Counts(tp=4, fp=1, tn=10, fn=6)),
+        ):
+            for read in READERS:
+                with pytest.raises(InputContractError, match="record 1 reads back as"):
+                    read([record(), other])
 
     def test_a_table_is_not_read_back(self, project_e, monkeypatch):
         table = run_grid(project_e, GridConfig(accuracies=(0.5,), repetitions=2, seed=4))

@@ -194,6 +194,7 @@ class TestGridConfig:
             {"p_qf_values": 0.5},
             {"p_qf_values": (0.5, "0.5")},
             {"model_kinds": ("const-n-m",)},
+            {"model_kinds": (10**5000,)},
         ],
     )
     def test_settings_must_be_numbers_and_kinds(self, settings):
