@@ -23,10 +23,10 @@ is non-empty.  Unbounded boundaries (a zero escape weight predicted for the
 lower, missed for the upper) are represented as ``math.inf``.
 
 One private formula, ``_ends``, gives the lower end, the upper end and the
-cost-saving verdict to both ``boundary_interval`` (one outcome, escape weights
-summed exactly) and ``defectcost.simulation.run_grid`` (every grid cell at
-once, as arrays).  Its divisions go through ``_threshold``, which also gives
-``theorem_boundary`` its threshold.
+cost-saving verdict to both ``boundary_interval`` (one outcome) and
+``defectcost.simulation.run_grid`` (every grid cell at once, as arrays), from
+the same bits of escape weight by ``_escaped``.  Its divisions go through
+``_threshold``, which also gives ``theorem_boundary`` its threshold.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .costs import (
-    _PARAM_RULES, CostParams, ModelKind, _check_kind, _is_probability, _powers, _terms,
+    _PARAM_RULES, CostParams, ModelKind, _check_kind, _escape_sum, _is_probability, _terms,
 )
 from .errors import _number
 from .model import OutcomeSummary, Project
@@ -116,10 +116,16 @@ def _ends(spent, unspent, prevented, lost, c_init=0.0, c_exec=0.0):
     return lower, upper, lower < upper
 
 
+def _escaped(p_qf, ks, counts, hits):
+    """Escape weight prevented and lost, the sums of h_k * w_k and (n_k - h_k) * w_k."""
+    prevented = _escape_sum(p_qf, lambda k, w, h: h * w, ks, hits)
+    return prevented, _escape_sum(p_qf, lambda k, w, n, h: (n - h) * w, ks, counts, hits)
+
+
 def _interval(project: Project, outcome: OutcomeSummary, params: CostParams) -> BoundaryInterval:
-    """``_ends`` of one outcome, with the escape weights summed exactly."""
-    spent, unspent, weight, hit = _terms(project, outcome, params)
-    prevented, lost = (math.fsum(weight[defects].tolist()) for defects in (hit, ~hit))
+    """``_ends`` of one outcome."""
+    spent, unspent, table = _terms(project, outcome, params)
+    prevented, lost = _escaped(params.p_qf, *table)
     lower, upper, possible = _ends(spent, unspent, prevented, lost, params.c_init, params.c_exec)
     return BoundaryInterval(float(lower), float(upper), bool(possible))
 
@@ -141,10 +147,9 @@ def theorem_boundary(
     sign of qa_margin.  ``p_qa`` is a number in [0, 1].
     """
     p_qa = _number("p_qa", p_qa, "a number in [0, 1]", _is_probability)
-    terms = _terms(project, outcome, params)
-    covered = _powers(p_qa, project.defect_cardinalities)
-    coeff = math.fsum((terms.weight * (covered - terms.hit)).tolist())
-    margin = p_qa * (terms.spent + terms.unspent) - terms.spent - params.c_init - params.c_exec
+    spent, unspent, (ks, counts, hits) = _terms(project, outcome, params)
+    coeff = _escape_sum(params.p_qf, lambda k, w, n, h: w * (n * p_qa**k - h), ks, counts, hits)
+    margin = p_qa * (spent + unspent) - spent - params.c_init - params.c_exec
     if coeff > 0:
         kind = BoundKind.UPPER_BOUND
     elif coeff < 0:

@@ -21,16 +21,17 @@ probability ``p_qf``, so qf(d) = 1 - w(d) with the escape weight
 w(d) = (1 - p_qf)^|d|, the chance that QA on all of d's artifacts reveals d.
 
 Each term has one definition, read by every route, the simulation grid's
-included: ``qa_cost_vector`` per artifact, the escape weight ``_powers``
-per defect, and ``model._defects_hit``.  One private kernel, ``_terms``,
-gives the initialized costs and the boundaries (``defectcost.boundaries``)
-all they read about an outcome: QA spent and unspent, each defect's escape
-weight and whether it was predicted.  The 1-m and 1-1 views are n-m data
-with single-member defects, so no formula depends on the view.
-``boundaries._ends`` turns QA spent and unspent and the escape weight
-prevented and lost into the lower end, the upper end and the cost-saving
-verdict, both for ``boundary_interval`` and, as arrays over every grid cell,
-for ``defectcost.simulation.run_grid``.
+included: ``qa_cost_vector`` per artifact, ``model._defects_hit`` per defect,
+and the escape weight, a function of the defect's cardinality k, in
+``_escape_sum`` over the distinct k.  One private kernel, ``_terms``, gives
+the initialized costs and the boundaries (``defectcost.boundaries``) all they
+read about an outcome: QA spent and unspent, and n_k defects and h_k
+predicted ones per k.  The 1-m and 1-1 views are n-m data with single-member
+defects, so no formula depends on the view.  ``boundaries._ends`` turns QA
+spent and unspent and the escape weight prevented and lost into the lower
+end, the upper end and the cost-saving verdict, both for
+``boundary_interval`` and, as arrays over every grid cell, for
+``defectcost.simulation.run_grid``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -156,11 +157,12 @@ def induced_inputs(project: Project, params: CostParams) -> GeneralCostInputs:
     escape weight.
     """
     defect_ids = project._defect_ids
-    qf = 1.0 - _powers(1.0 - params.p_qf, project.defect_cardinalities)
+    ks, _, position = project._cardinality_table
+    qf = [1.0 - (1.0 - params.p_qf) ** k for k in ks]
     return GeneralCostInputs(
         qa_costs=dict(zip(project._file_ids, qa_cost_vector(project, params.qa_mode).tolist())),
         losses=dict.fromkeys(defect_ids, params.c_ratio),
-        qf_values=dict(zip(defect_ids, qf.tolist())),
+        qf_values=dict(zip(defect_ids, map(qf.__getitem__, position.tolist()))),
         c_init=params.c_init,
         c_exec=params.c_exec,
     )
@@ -199,23 +201,22 @@ def _check_kind(project: Project, params: CostParams, kind: ModelKind) -> None:
         )
 
 
-def _powers(base: float, cardinalities: np.ndarray) -> np.ndarray:
-    """base^|d| per defect, by Python ``pow`` once per distinct cardinality.
+def _escape_sum(p_qf, term, ks, *columns):
+    """The one escape-weight sum: ``term(k, w_k, *columns at k)`` added from 0.0 over the
+    distinct defect cardinalities ``ks`` in ascending k, w_k = (1 - p_qf)^k by Python
+    ``pow`` (numpy's ``power`` can differ in the last bit).  A column holds Python numbers
+    (one outcome) or numpy columns (every grid cell); each of K terms is rounded K times."""
+    keep, total = 1.0 - p_qf, 0.0
+    for k, *values in zip(ks, *columns):
+        total = total + term(k, keep**k, *values)
+    return total
 
-    numpy's ``power`` can differ from ``pow`` in the last bit; every route,
-    ``simulation.run_grid`` included, takes its powers from here."""
-    counts = np.bincount(cardinalities)
-    distinct = np.flatnonzero(counts)
-    table = np.empty(len(counts))
-    table[distinct] = [base**k for k in distinct.tolist()]
-    return table[cardinalities]
 
-
-class _Terms(NamedTuple):
-    spent: float  # QA cost of the predicted artifacts
-    unspent: float  # QA cost of the other artifacts
-    weight: np.ndarray  # escape weight (1 - p_qf)^|d| per defect
-    hit: np.ndarray  # True where all of the defect's artifacts are predicted
+def _finite(cost: float) -> float:
+    """``cost``, unless its finite inputs overflowed a float."""
+    if math.isinf(cost):
+        raise OverflowError("the cost overflows a float")
+    return cost
 
 
 def _masks(project: Project, outcome: OutcomeSummary) -> tuple[np.ndarray, np.ndarray]:
@@ -237,16 +238,16 @@ def _masks(project: Project, outcome: OutcomeSummary) -> tuple[np.ndarray, np.nd
     return picked, _defects_hit(project, picked)
 
 
-def _terms(project: Project, outcome: OutcomeSummary, params: CostParams) -> _Terms:
-    """The kernel.
+def _terms(project: Project, outcome: OutcomeSummary, params: CostParams) -> tuple:
+    """The kernel: QA spent, QA unspent and (k, n_k, h_k predicted defects of k).
 
     QA costs are whole numbers (ones or sizes), so the QA sums are exact in
     any order: a project's total size is at most 2^53."""
     picked, hit = _masks(project, outcome)
     qa = qa_cost_vector(project, params.qa_mode)
-    weight = _powers(1.0 - params.p_qf, project.defect_cardinalities)
-    spent, unspent = float(qa[picked].sum()), float(qa[~picked].sum())
-    return _Terms(spent, unspent, weight, hit)
+    ks, counts, position = project._cardinality_table
+    hits = np.bincount(position[hit], minlength=len(ks)).tolist()
+    return float(qa[picked].sum()), float(qa[~picked].sum()), (ks, counts, hits)
 
 
 def cost_init(project: Project, outcome: OutcomeSummary, params: CostParams, kind: ModelKind) -> float:
@@ -254,14 +255,16 @@ def cost_init(project: Project, outcome: OutcomeSummary, params: CostParams, kin
 
     The project must already be in the view that ``kind`` expects.  The cost
     is c_init + c_exec + QA spent + c_ratio * (missed defects + the sum of
-    1 - w(d) over predicted defects), w(d) being the escape weight.
+    1 - w(d) over predicted defects), w(d) being the escape weight.  A cost
+    too large for a float raises ``OverflowError``.
     """
     _check_kind(project, params, kind)
-    terms = _terms(project, outcome, params)
+    spent, _, (ks, counts, hits) = _terms(project, outcome, params)
     c = params.c_ratio
-    missed = int(np.count_nonzero(~terms.hit))
-    escaped = math.fsum((1.0 - terms.weight[terms.hit]).tolist())
-    return params.c_init + params.c_exec + terms.spent + (missed * c + escaped * c)
+    missed = sum(counts) - sum(hits)
+    # 1 - w_k as it is: n - (the sum of n_k * w_k) would cancel where w_k is near 1
+    escaped = _escape_sum(params.p_qf, lambda k, w, h: h * (1.0 - w), ks, hits)
+    return _finite(params.c_init + params.c_exec + spent + (missed * c + escaped * c))
 
 
 def cost_random(project: Project, p_qa: float, params: CostParams) -> float:
@@ -272,13 +275,12 @@ def cost_random(project: Project, p_qa: float, params: CostParams) -> float:
     quality assurance at all (every defect escapes); with p_qa = 1 it is the
     cost of quality assurance on everything.  The prediction model's own
     overheads c_init/c_exec do not apply to this baseline.  ``p_qa`` is a
-    number in [0, 1].
+    number in [0, 1].  A cost too large for a float raises ``OverflowError``.
     """
     p_qa = _number("p_qa", p_qa, "a number in [0, 1]", _is_probability)
-    cards = project.defect_cardinalities
-    covered = _powers(p_qa, cards)
-    qf = 1.0 - _powers(1.0 - params.p_qf, cards)
+    ks, counts, _ = project._cardinality_table
     c = params.c_ratio
-    defect_terms = (1.0 - covered) * c + covered * qf * c
-    qa_expected = p_qa * float(np.sum(qa_cost_vector(project, params.qa_mode)))
-    return qa_expected + math.fsum(defect_terms.tolist())
+    escaped = _escape_sum(
+        params.p_qf, lambda k, w, n: n * ((1.0 - p_qa**k) * c + p_qa**k * (1.0 - w) * c), ks, counts
+    )
+    return _finite(p_qa * float(np.sum(qa_cost_vector(project, params.qa_mode))) + escaped)

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputContractError, _id, _ids, _instance, _number
+from .errors import InputContractError, _id, _ids, _instance, _number, _shown
 
 # QA sums of whole-number costs stay exact in float64 while a project's total
 # size is at most this.
@@ -217,6 +217,14 @@ class Project:
         """Number of member artifacts per defect, in stored defect order."""
         return np.diff(self._member_csr[1])
 
+    @cached_property
+    def _cardinality_table(self) -> tuple[list[int], list[int], np.ndarray]:
+        """(k, n_k, index): the distinct defect cardinalities k ascending, the number
+        of defects n_k of each, and per defect the index of its k."""
+        n_k = np.bincount(self.defect_cardinalities)
+        k = np.flatnonzero(n_k)
+        return k.tolist(), n_k[k].tolist(), np.cumsum(n_k > 0)[self.defect_cardinalities] - 1
+
 
 def _label(name: str, value) -> int:
     """A label: the integer 0 or 1, returned as ``int``."""
@@ -236,7 +244,7 @@ class Prediction:
     def __post_init__(self):
         if not isinstance(self.labels, Mapping):
             raise InputContractError(
-                f"labels must be a mapping of artifact ids to 0 or 1, got {self.labels!r}"
+                f"labels must be a mapping of artifact ids to 0 or 1, got {_shown(self.labels)}"
             )
         labels = {
             artifact_id: _label(f"label for artifact {artifact_id!r}", label)

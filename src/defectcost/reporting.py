@@ -16,7 +16,7 @@ from itertools import compress, count, repeat
 import numpy as np
 
 from .costs import KIND_BY_CODE, ModelKind, _is_failure_probability
-from .errors import InputContractError, ParseError, _id, _instance, _number
+from .errors import InputContractError, ParseError, _id, _instance, _number, _shown
 from .io import _UNWRITABLE
 from .model import ConfusionMatrix, _is_count
 from .simulation import ExperimentRecord, RecordTable
@@ -370,10 +370,10 @@ def _points(records, metric: str, kind: ModelKind, bounds) -> dict:
     back first (``_table``), so they are checked as ``parse_records`` checks
     a file."""
     if metric not in METRICS:
-        raise InputContractError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise InputContractError(f"metric must be one of {METRICS}, got {_shown(metric)}")
     for bound in bounds:
         if bound not in BOUNDS:
-            raise InputContractError(f"bound must be one of {BOUNDS}, got {bound!r}")
+            raise InputContractError(f"bound must be one of {BOUNDS}, got {_shown(bound)}")
     _instance("kind", kind, ModelKind)
     table, _ = _table(records)
     settings = [s for s, (_, k) in enumerate(table.settings) if k == kind]

@@ -36,10 +36,11 @@ and kind, with cells of equal accuracy values in grid order within each
 Which terms read which files
 ----------------------------
 ``run_grid`` reduces each labeling to QA spent under each QA mode, true
-positives, predicted (defect, artifact) incidence pairs and the escape weight
-of the predicted and the missed defects.  Only the QA sums read every file.
-The other terms come from the defective files alone, usually a small minority
-of a project, since a clean file adds to none of them.
+positives, predicted (defect, artifact) incidence pairs and predicted defects
+per defect cardinality: counts, exact in any order and BLAS kernel, weighted
+afterwards as for ``boundary_interval``, which the bounds equal bit for bit.
+Only the QA sums read every file.  The other terms come from the defective
+files alone, usually a small minority of a project.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundaries import _ends
+from .boundaries import _ends, _escaped
 from .costs import (
-    ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, _powers, qa_cost_vector,
+    ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, qa_cost_vector,
 )
-from .errors import InputContractError, _instance, _number
+from .errors import InputContractError, _instance, _number, _shown
 from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit, _share
 
 _MASK64 = (1 << 64) - 1
@@ -65,6 +66,9 @@ DEFAULT_P_QF_VALUES: tuple[float, ...] = (0.0, 0.5)
 # run_grid stacks the labelings of up to _BLOCK_CELLS cells and reduces them
 # together, but never more than _BLOCK_LABELS labels at once, so memory stays
 # flat: a project of _BLOCK_LABELS files or more is evaluated one cell at a time.
+# Every per-cell sum is exact in any block, so the cell cap is for speed alone:
+# without it the paper_grid benchmark's stage1_ref rose 2.0 % (median of 10
+# alternating 20 s pairs, higher in 8) on a 2-core x86 host.
 _BLOCK_CELLS = 64
 _BLOCK_LABELS = 1 << 16
 
@@ -163,7 +167,7 @@ def _pcg64_states(seeds) -> list[tuple[int, int]]:
 def _items(name: str, values, what: str) -> tuple:
     """``values`` as a tuple; it must be a non-empty iterable."""
     if not isinstance(values, Iterable):
-        raise InputContractError(f"{name} must be a sequence of {what}, got {values!r}")
+        raise InputContractError(f"{name} must be a sequence of {what}, got {_shown(values)}")
     values = tuple(values)
     if not values:
         raise InputContractError(f"{name} must not be empty")
@@ -309,8 +313,8 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
 
     Returns the (cells, 4) label sums [QA spent per ``QAMode`` (``qa_cost_vector``),
     true positives, predicted (defect, artifact) incidence pairs] and the (cells,
-    2, p_qf values) n-m escape weights ``_powers`` summed over the defects that
-    ``_defects_hit`` finds predicted and over the missed ones.
+    k) defects that ``_defects_hit`` finds predicted per cardinality k of
+    ``Project._cardinality_table``, ``hit @ onehot(cardinality)``.
 
     Cells are drawn in blocks of label rows.  Only two steps read every file:
     the uniforms are thresholded in place into 0/1 "kept" flags, and one
@@ -318,8 +322,7 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
     ``signed`` is each file's QA cost negated on the clean files (a clean file
     is predicted when flipped, a defective one when kept).  The true positives,
     incidence pairs and defect hits read only the defective files, where kept
-    is the label.  The four sums are integers, exact in float64 in any order;
-    the escape weights are reduced per block as the block rule sets them.
+    is the label.  Every sum is an integer, exact in float64 in any order.
     """
     n = len(project.sizes)
     truth = project.defective_mask
@@ -332,12 +335,12 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
     np.negative(signed, out=signed, where=clean)
     members = np.bincount(project._member_csr[0], minlength=n)[defective]
     counts = np.column_stack([np.ones(len(defective)), members])
-    cards = project.defect_cardinalities
-    escape = np.column_stack([_powers(1.0 - p, cards) for p in config.p_qf_values])
+    ks, _, position = project._cardinality_table
+    onehot = (position[:, None] == np.arange(len(ks))).astype(np.float64)
     repetitions = config.repetitions
     n_cells = len(config.accuracies) * repetitions
     sums = np.empty((n_cells, 4))
-    escaped = np.empty((n_cells, 2, len(config.p_qf_values)))
+    hits = np.empty((n_cells, len(ks)))
     block = max(1, min(_BLOCK_CELLS, _BLOCK_LABELS // max(n, 1)))
     uniforms = np.empty((block, n))
     states = _pcg64_states(_cell_seeds(config.seed, len(config.accuracies), repetitions))
@@ -359,10 +362,8 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
         np.less(kept, accuracies[start:stop], out=kept)
         np.add(kept @ signed, clean_totals, out=sums[start:stop, :2])
         sums[start:stop, 2:] = kept[:, defective] @ counts
-        hit = _defects_hit(project, kept)
-        escaped[start:stop, 0] = hit @ escape
-        escaped[start:stop, 1] = (1.0 - hit) @ escape
-    return sums, escaped
+        hits[start:stop] = _defects_hit(project, kept) @ onehot
+    return sums, hits
 
 
 def _canonical_rows(config: GridConfig, n_settings: int) -> tuple[np.ndarray, np.ndarray]:
@@ -392,36 +393,30 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     """
     if project.relationship is not Relationship.N_TO_M:
         raise InputContractError("run_grid expects the full n-m project")
-    sums, escaped = _cell_sums(project, config)
+    sums, hits = _cell_sums(project, config)
     n = len(project.sizes)
     n_defective = int(np.count_nonzero(project.defective_mask))
     *spent, tp, predicted_pairs = sums.T
-    fn = n_defective - tp
-    keep = 1.0 - np.array(config.p_qf_values)
-    # QA spent and unspent per QA mode (cells,); escape weight prevented and
-    # lost per view (cells, p_qf values)
+    # QA spent and unspent per QA mode (cells,)
     qa = {
         mode: (mode_spent, qa_cost_vector(project, mode).sum() - mode_spent)
         for mode, mode_spent in zip(QAMode, spent)
     }
-    total_pairs = float(project.defect_cardinalities.sum())
-    weight = {
-        Relationship.N_TO_M: (escaped[:, 0], escaped[:, 1]),
-        Relationship.ONE_TO_M: (
-            predicted_pairs[:, None] * keep,
-            (total_pairs - predicted_pairs)[:, None] * keep,
-        ),
-        Relationship.ONE_TO_ONE: (tp[:, None] * keep, fn[:, None] * keep),
+    # (k, n_k, h_k per cell) per view: a 1-m defect is an incidence pair, a 1-1 defect a file
+    ks, counts, _ = project._cardinality_table
+    tables = {
+        Relationship.N_TO_M: (ks, counts, hits.T),
+        Relationship.ONE_TO_M: ([1], [int(project.defect_cardinalities.sum())], [predicted_pairs]),
+        Relationship.ONE_TO_ONE: ([1], [n_defective], [tp]),
     }
-    kinds = config.model_kinds
-    # spent and unspent (cells, 1, kinds) and prevented and lost (cells, p_qf
-    # values, kinds) stacked per kind; _ends gives each its lower, upper and verdict
-    spent, unspent = np.stack([qa[k.qa_mode] for k in kinds], axis=-1)[:, :, None]
-    prevented, lost = np.stack([weight[k.relationship] for k in kinds], axis=-1)
-    ends = _ends(spent, unspent, prevented, lost)
-    settings = [(p_qf, kind) for p_qf in config.p_qf_values for kind in kinds]
+    settings = [(p_qf, kind) for p_qf in config.p_qf_values for kind in config.model_kinds]
+    # lower, upper and verdict (cells, settings): _ends of every cell, per setting
+    lower, upper, saving = (np.empty((len(sums), len(settings)), t) for t in (float, float, bool))
+    for s, (p_qf, kind) in enumerate(settings):
+        prevented, lost = _escaped(p_qf, *tables[kind.relationship])
+        lower[:, s], upper[:, s], saving[:, s] = _ends(*qa[kind.qa_mode], prevented, lost)
     row_cell, row_setting = _canonical_rows(config, len(settings))
-    lower, upper, cost_saving = (e.reshape(len(sums), -1)[row_cell, row_setting] for e in ends)
+    lower, upper, cost_saving = (e[row_cell, row_setting] for e in (lower, upper, saving))
     predicted = qa[QAMode.CONSTANT][0]  # one QA unit per predicted artifact
     tps = tp.astype(np.int64).tolist()
     fps = (predicted - tp).astype(np.int64).tolist()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputContractError, _number
+from .errors import InputContractError, _number, _shown
 from .model import Project, Relationship, _check_total_size, _is_count
 
 
@@ -97,7 +97,7 @@ def _checked(spec: AggregateSpec) -> tuple[int, int, int, int, int]:
     """A spec's file, defective-file and defect counts, total member slots and
     total size, if the spec can be met."""
     if not isinstance(spec.name, str):
-        raise InputContractError(f"name must be a string, got {spec.name!r}")
+        raise InputContractError(f"name must be a string, got {_shown(spec.name)}")
     n_files, n_defective, n_defects = (
         _number(name, getattr(spec, name), "an integer >= 0", _is_count, integer=True)
         for name in ("n_artifacts", "n_defective", "n_defects")

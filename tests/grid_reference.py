@@ -8,7 +8,8 @@ that sum.
 
 ``dense_cell_sums`` keeps the dense kernel that ``simulation._cell_sums``
 replaced: every cell's 0/1 labels, stacked into the same blocks, times one
-column per sum over all files, and the defect hits of the labels.
+column per sum over all files, and the defect hits of the labels counted per
+distinct defect cardinality.
 """
 
 import math
@@ -25,7 +26,7 @@ from defectcost import (
     precision,
     recall,
 )
-from defectcost.costs import _powers, qa_cost_vector
+from defectcost.costs import qa_cost_vector
 from defectcost.model import _defects_hit
 
 
@@ -122,9 +123,10 @@ def reference_grid(project, config):
 
 
 def dense_cell_sums(project, config, block_cells, block_labels):
-    """The (cells, 4) sums and (cells, 2, p_qf values) escape weights of
-    ``simulation._cell_sums`` under its block rule, from dense label rows:
-    ``labels @ column_stack(QA cost per mode, truth, member count per file)``."""
+    """The (cells, 4) sums and (cells, cardinalities) hits of ``simulation._cell_sums``
+    under its block rule, from dense label rows: ``labels @ column_stack(QA cost
+    per mode, truth, member count per file)``, and the defect hits of the labels
+    times one indicator column per distinct defect cardinality, ascending."""
     n = len(project.sizes)
     truth = project.defective_mask
     columns = np.column_stack(
@@ -134,11 +136,11 @@ def dense_cell_sums(project, config, block_cells, block_labels):
             np.bincount(project._member_csr[0], minlength=n),
         ]
     )
-    cards = project.defect_cardinalities
-    escape = np.column_stack([_powers(1.0 - p, cards) for p in config.p_qf_values])
+    ks, cardinality = np.unique(project.defect_cardinalities, return_inverse=True)
+    indicators = np.eye(len(ks))[cardinality]
     cells = [(a, r) for a in range(len(config.accuracies)) for r in range(config.repetitions)]
     block = max(1, min(block_cells, block_labels // max(n, 1)))
-    sums, escaped = [], []
+    sums, hits = [], []
     for start in range(0, len(cells), block):
         rows = np.array(
             [
@@ -148,6 +150,5 @@ def dense_cell_sums(project, config, block_cells, block_labels):
             dtype=np.float64,
         )
         sums.append(rows @ columns)
-        hit = _defects_hit(project, rows)
-        escaped.append(np.stack([hit @ escape, (1.0 - hit) @ escape], axis=1))
-    return np.concatenate(sums), np.concatenate(escaped)
+        hits.append(_defects_hit(project, rows) @ indicators)
+    return np.concatenate(sums), np.concatenate(hits)

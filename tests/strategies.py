@@ -1,4 +1,5 @@
-"""Hypothesis strategies and random cases: small projects, predictions and prices."""
+"""Hypothesis strategies and random cases: small projects, predictions and prices,
+and the rounding bound that compares two routes on them."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -96,3 +97,24 @@ def priced_cases(rng, count, max_artifacts=20, max_defects=8):
             view = project_view(project, kind.relationship)
             params = CostParams(c_ratio, p_qf, c_init, c_exec, kind.qa_mode)
             yield view, classify(view, prediction), params, kind
+
+
+def drift_bound(roundings: int, reference_roundings: int) -> float:
+    """The largest |value - reference| / |reference| of two float results of one
+    expression of non-negative terms, with at most ``roundings`` and at most
+    ``reference_roundings`` roundings on any path of it.
+
+    Each is the exact value times 1 + theta, |theta| <= gamma(n) = n u / (1 - n u)
+    with u = 2^-53 (N. J. Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., 2002, section 3.1), so the two differ by at most
+    (gamma(roundings) + gamma(reference_roundings)) times the exact value."""
+
+    def gamma(n):
+        return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+    return (gamma(roundings) + gamma(reference_roundings)) / (1 - gamma(reference_roundings))
+
+
+def distinct_cardinalities(project: Project) -> int:
+    """K, the number of distinct defect cardinalities: the terms of an escape-weight sum."""
+    return len(set(project.defect_cardinalities.tolist()))

@@ -31,6 +31,7 @@ from defectcost import (
     cost_random,
     format_matrix,
     project_from_aggregates,
+    render_scatter,
     simulate_prediction,
     theorem_boundary,
     trend,
@@ -152,6 +153,14 @@ HUGE_CALLS = {
     "theorem_boundary.p_qa": lambda p, o: theorem_boundary(p, o, HUGE, CostParams()),
     "Artifact.size": lambda p, o: Artifact("a", -HUGE),
     "trend.n_bins": lambda p, o: trend([], "precision", ALL_KINDS[0], "lower", n_bins=-HUGE),
+    "GridConfig.accuracies.sequence": lambda p, o: GridConfig(accuracies=HUGE),
+    "Prediction.labels": lambda p, o: Prediction(HUGE),
+    "trend.metric": lambda p, o: trend([], HUGE, ALL_KINDS[0], "lower"),
+    "trend.bound": lambda p, o: trend([], "precision", ALL_KINDS[0], HUGE),
+    "render_scatter.metric": lambda p, o: render_scatter([], HUGE, ALL_KINDS[0]),
+    "AggregateSpec.name": lambda p, o: project_from_aggregates(
+        AggregateSpec(HUGE, 10, 2, 2, 1.5, 5.0), 0
+    ),
     **{
         f"ConfusionMatrix.{name}": lambda p, o, name=name: ConfusionMatrix(
             **dict.fromkeys(COUNTS, 0) | {name: -HUGE}

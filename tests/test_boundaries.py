@@ -37,7 +37,9 @@ from defectcost import (
 from defectcost.costs import qa_cost_vector
 
 from . import cost_reference
-from .strategies import priced_cases, random_prediction, random_project
+from .strategies import (
+    distinct_cardinalities, drift_bound, priced_cases, random_prediction, random_project,
+)
 
 CONST = CostParams()
 CONST_NM = ModelKind(QAMode.CONSTANT, Relationship.N_TO_M)
@@ -235,9 +237,29 @@ class TestBoundaryInterval:
 
 class TestAgainstReference:
     def test_interval_bitwise_equal_to_per_view_routes(self, rng):
+        """Bitwise where the escape-weight sums have one term (K <= 1 distinct defect
+        cardinalities, as in every 1-m and 1-1 view): n_1 times a weight rounds as
+        the fsum of n_1 copies of it does.  Otherwise each sum over k rounds each
+        term at most K times and the reference's fsum once, and one division
+        follows in both: K + 1 against 2 roundings.  The verdicts may then differ
+        only where the two ends are that close."""
         for view, outcome, params, kind in priced_cases(rng, 500):
             interval = boundary_interval(view, outcome, params, kind)
-            assert interval == cost_reference.boundary_interval(view, outcome, params, kind)
+            reference = cost_reference.boundary_interval(view, outcome, params, kind)
+            k = distinct_cardinalities(view)
+            if k <= 1:
+                assert interval == reference
+                continue
+            bound = drift_bound(k + 1, 2)
+            ends = ((interval.lower, reference.lower), (interval.upper, reference.upper))
+            for value, expected in ends:
+                if math.isinf(expected):
+                    assert value == expected
+                else:
+                    assert abs(value - expected) <= bound * expected
+            lower, upper = reference.lower, reference.upper
+            tie = math.isfinite(upper) and abs(upper - lower) <= bound * (lower + upper)
+            assert interval.cost_saving_possible == reference.cost_saving_possible or tie
 
     def test_results_are_python_scalars(self, rng):
         for view, outcome, params, kind in priced_cases(rng, 50):

@@ -1,8 +1,13 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,22 +275,49 @@ class TestRunGrid:
     def test_records_match_public_route(self, rng):
         """Grid output must equal classify + boundary_interval on each view."""
         project = random_project(rng, max_artifacts=25, max_defects=8)
-        config = GridConfig(accuracies=(0.35, 0.75), repetitions=3, seed=1234)
-        records = run_grid(project, config)
-        views = {rel: project_view(project, rel) for rel in Relationship}
-        for record in records:
-            acc_idx = config.accuracies.index(record.accuracy)
-            seed = cell_seed(config.seed, acc_idx, record.repetition)
-            prediction = simulate_prediction(project, record.accuracy, seed)
-            view = views[record.kind.relationship]
-            outcome = classify(view, prediction)
-            assert outcome.cm == record.cm
-            params = CostParams(p_qf=record.p_qf, qa_mode=record.kind.qa_mode)
-            interval = boundary_interval(view, outcome, params, record.kind)
-            # p_qf 0 and 0.5 make every escape weight dyadic: both sums are exact
-            assert record.lower == interval.lower
-            assert record.upper == interval.upper
-            assert record.cost_saving == interval.cost_saving_possible
+        assert_matches_public_route(
+            project, GridConfig(accuracies=(0.35, 0.75), repetitions=3, seed=1234)
+        )
+
+    def test_records_match_public_route_at_non_dyadic_p_qf(self, rng):
+        # no escape weight (1 - p_qf)^k is dyadic here, yet the grid sums the
+        # weights over the cardinalities as boundary_interval does: bit for bit
+        for _ in range(20):
+            project = random_project(rng, max_artifacts=25, max_defects=10)
+            p_qf_values = (0.3, float(rng.uniform(0.0, 0.95)))
+            config = GridConfig(accuracies=(0.35, 0.75), repetitions=3, p_qf_values=p_qf_values)
+            assert_matches_public_route(project, config)
+
+    def test_records_independent_of_the_blas_kernel(self):
+        """A p_qf 0.3 grid writes the same bytes whichever OpenBLAS kernel numpy's
+        matrix products run: as detected, and forced to Prescott (SSE3 only)."""
+        script = textwrap.dedent(
+            """
+            import hashlib
+            from defectcost import GridConfig, emit_records, run_grid, sample_corpus
+            config = GridConfig(repetitions=10, p_qf_values=(0.3,), seed=424242)
+            digest = hashlib.sha256()
+            for project in sample_corpus(2024)[:6]:
+                digest.update(emit_records(run_grid(project, config)).encode())
+            print(digest.hexdigest())
+            """
+        )
+        package_root = str(Path(simulation.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = path
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env | coretype,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            ).stdout
+            for coretype in ({}, {"OPENBLAS_CORETYPE": "Prescott"})
+        ]
+        assert digests[0] == digests[1] and len(digests[0]) == 65
 
     def test_missed_escape_weight_summed_exactly(self):
         # Ten one-file defects and one twelve-file defect at p_qf 0.7: the big
@@ -314,6 +346,23 @@ class TestRunGrid:
     def test_perfect_prediction_matches_simulated_at_accuracy_one(self, project_e):
         prediction = simulate_prediction(project_e, 1.0, cell_seed(0, 0, 0))
         assert prediction == perfect_prediction(project_e)
+
+
+def assert_matches_public_route(project, config):
+    """Each record equals classify + boundary_interval of its cell on its view, bit for bit."""
+    views = {rel: project_view(project, rel) for rel in Relationship}
+    for record in run_grid(project, config):
+        acc_idx = config.accuracies.index(record.accuracy)
+        seed = cell_seed(config.seed, acc_idx, record.repetition)
+        prediction = simulate_prediction(project, record.accuracy, seed)
+        view = views[record.kind.relationship]
+        outcome = classify(view, prediction)
+        assert outcome.cm == record.cm
+        params = CostParams(p_qf=record.p_qf, qa_mode=record.kind.qa_mode)
+        interval = boundary_interval(view, outcome, params, record.kind)
+        assert record.lower == interval.lower
+        assert record.upper == interval.upper
+        assert record.cost_saving == interval.cost_saving_possible
 
 
 def assert_matches_reference(table, reference, rel=0.0):
