@@ -186,7 +186,7 @@ def cost_general(project: Project, outcome: OutcomeSummary, inputs: GeneralCostI
     qa_spent = math.fsum(map(inputs.qa_costs.__getitem__, compress(project._file_ids, picked)))
     missed = math.fsum(map(inputs.losses.__getitem__, compress(defect_ids, ~hit)))
     escaped = math.fsum(inputs.qf_values[d] * inputs.losses[d] for d in compress(defect_ids, hit))
-    return inputs.c_init + inputs.c_exec + qa_spent + missed + escaped
+    return _finite(inputs.c_init + inputs.c_exec + qa_spent + missed + escaped)
 
 
 def _check_kind(project: Project, params: CostParams, kind: ModelKind) -> None:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -151,7 +152,8 @@ def _as_written(texts, values) -> bool:
     """Whether each text is ``_csv_cell`` of its value, as ``emit_records`` writes it:
     a count in ASCII digits with no leading 0, space, separator or sign other
     than a minus, and a float as its shortest ``repr``."""
-    return all(map(operator.eq, map(_csv_cell, values), texts))
+    written = _csv_cell if None in values else str  # the same but for None
+    return all(map(operator.eq, map(written, values), texts))
 
 
 def _floats_written(texts, values) -> bool:
@@ -177,8 +179,8 @@ _SAVING_VALUES = {"true": True, "false": False}
 # them, check, what the check requires).  Texts and values go in as columns.
 # The fields read once per cell or setting must be exactly their _csv_cell
 # text; the boundaries, read on every row, are checked only for the characters
-# repr writes, as the exact check costs a Python call per value.  The checks
-# take the ranges the grid produces; their comparisons also reject nan.
+# repr writes, in one pass over them all, which costs a 25th of writing each
+# one again.  The checks take the ranges the grid produces; they reject nan.
 _FIELD_RULES = {
     "accuracy": (float, _as_written, _in_unit, "in [0, 1]"),
     "repetition": (int, _as_written, _is_count, ">= 0"),
@@ -220,32 +222,30 @@ def _read(name: str, texts) -> list:
     return values
 
 
-class _KeyNumbers:
-    """Numbers 0, 1, ... for the distinct keys of a stream of rows, in order of first row."""
+class _KeyNumbers(defaultdict):
+    """Numbers 0, 1, ... for distinct keys, each given by the lookup that first sees it."""
 
     def __init__(self):
-        self.first_row: dict[tuple, int] = {}
-        self.number: dict[int, int] = {}
+        super().__init__(count().__next__)
 
-    def add(self, key_columns, first: int) -> tuple[list, list]:
-        """The key numbers of rows ``first``, ``first + 1``, ... of the stream, and the
-        chunk positions of the rows whose key is new."""
-        rows = list(map(self.first_row.setdefault, zip(*key_columns), count(first)))
-        new = list(compress(count(), map(operator.eq, rows, count(first))))
-        base = len(self.number)
-        self.number.update(zip([first + i for i in new], range(base, base + len(new))))
-        return list(map(self.number.__getitem__, rows)), new
+    def add(self, key_columns) -> tuple[list, list]:
+        """The key numbers of rows given as columns of key fields, and the columns of the
+        new keys: the dict's tail, taken from its end in time linear in their number."""
+        before = len(self)
+        numbers = list(map(self.__getitem__, zip(*key_columns)))
+        new = list(islice(reversed(self), len(self) - before))[::-1]
+        return numbers, list(zip(*new)) or [()] * len(key_columns)
 
 
 class _TableReader:
     """Gathers record CSV lines into table columns.
 
-    Each distinct cell and setting is converted and checked once, at its
-    first row, and every field is converted a column at a time.  A chunk of
-    lines that fails is read again a line at a time, each line by a fresh
-    reader, which checks its field count, its kind, then each field of
-    ``_FIELD_RULES`` in turn (how it is written, then its range); the
-    first bad line is reported at its own line, with the first failed check.
+    A chunk's cells and settings are numbered in one dict pass (``_KeyNumbers``);
+    only new ones are converted and checked, and each field a column at a time.
+    A chunk of lines that fails is read again a line at a time, each line by a
+    fresh reader, which checks its field count, its kind, then each field of
+    ``_FIELD_RULES`` in turn (how it is written, then its range); the first
+    bad line is reported at its own line, with the first failed check.
     """
 
     def __init__(self):
@@ -274,12 +274,10 @@ class _TableReader:
 
     def _append(self, columns: dict) -> None:
         """Append rows given as the column of texts of each field name."""
-        first = len(self.rows["cell"])
         for key, names in (("cell", RecordTable.CELL_COLUMNS), ("setting", _SETTING_FIELDS)):
-            # each row's cell or setting number; a new one is read at its first row
-            columns[key], new = self.keys[key].add([columns[name] for name in names], first)
-            for name in names:
-                columns[name] = [columns[name][j] for j in new]
+            # each row's cell or setting number; only a new one's fields are read
+            columns[key], new = self.keys[key].add([columns[name] for name in names])
+            columns.update(zip(names, new))
         # a kind's code joins its two fields with "-", which no QAMode value holds
         kinds = [
             None if "-" in mode else KIND_BY_CODE.get(f"{mode}-{relationship}")

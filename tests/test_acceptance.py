@@ -23,7 +23,6 @@ from defectcost import (
     Defect,
     GridConfig,
     ModelKind,
-    Prediction,
     Project,
     QAMode,
     Relationship,

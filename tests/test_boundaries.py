@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction
 
 import pytest

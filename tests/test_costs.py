@@ -234,6 +234,15 @@ class TestOverflow:
         with pytest.raises(OverflowError, match="overflow"):
             cost_random(project, 0.0, params)
 
+    def test_general_cost_raises_on_overflow(self):
+        # each sum is finite alone: QA spent on b is 1e308, the loss of the missed d1 1e308
+        artifacts = (Artifact("a", 1), Artifact("b", 1))
+        project = Project("o", artifacts, (Defect("d1", frozenset({"a"})),))
+        outcome = classify(project, Prediction({"a": 0, "b": 1}))
+        inputs = GeneralCostInputs({"a": 1.0, "b": 1e308}, {"d1": 1e308}, {"d1": 0.0})
+        with pytest.raises(OverflowError, match="the cost overflows a float"):
+            cost_general(project, outcome, inputs)
+
 
 class TestCostRandom:
     def test_no_qa_pays_every_defect(self, project_e):

@@ -481,12 +481,40 @@ class TestRecordTableParse:
         text = emit_records(records)
         assert parse_records(text) == reference_parse_records(text)
 
-    def test_each_cell_and_setting_stored_once(self, project_e):
-        config = GridConfig(accuracies=(0.2, 0.8), repetitions=4, seed=3)
-        table = parse_records(emit_records(run_grid(project_e, config)))
-        assert len(table.accuracy) == 2 * 4
-        assert len(table.settings) == 2 * 6
-        assert len(table) == 2 * 4 * 2 * 6
+    @settings(max_examples=100, deadline=None)
+    @given(record_lists(), st.randoms(use_true_random=False), st.integers(1, 24))
+    def test_keys_that_come_back_across_chunks(self, records, random, chunk_lines):
+        """Cells and settings that come back out of order in later chunks."""
+        text = emit_records(records + random.sample(records, len(records)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(defectcost.reporting, "_CHUNK_LINES", chunk_lines)
+            table = parse_records(text)
+        reference = reference_parse_records(text)
+        assert table == reference
+        assert emit_records(table) == emit_records(reference)
+
+    def test_each_cell_and_setting_stored_once(self, project_e, rng):
+        """Each cell and setting is stored once and numbered in order of its first
+        row, here with the rows shuffled, so that they come back across chunks."""
+        spec = next(s for s in SAMPLE_AGGREGATES if s.name == "cayenne")
+        grids = [
+            (project_e, GridConfig(accuracies=(0.2, 0.8), repetitions=4, seed=3), 2 * 4, 1),
+            # the paper's grid of a corpus project: 22,800 rows
+            (project_from_aggregates(spec, seed=2024), GridConfig(seed=424242), 19 * 100, 45),
+        ]
+        for project, config, cells, chunks in grids:
+            header, *lines, end = emit_records(run_grid(project, config)).split("\n")
+            rng.shuffle(lines)
+            text = "\n".join([header, *lines, end])
+            assert math.ceil(len(lines) / defectcost.reporting._CHUNK_LINES) == chunks
+            table = parse_records(text)
+            assert len(table.accuracy) == cells
+            assert len(table.settings) == 2 * 6
+            assert len(table) == cells * 2 * 6
+            assert list(dict.fromkeys(table.cell)) == list(range(cells))
+            assert list(dict.fromkeys(table.setting)) == list(range(2 * 6))
+            written_back = emit_records(table) == text  # no diff of 1.5 MB texts on failure
+            assert written_back
 
     def test_plot_fingerprint(self):
         # sha256 of the concatenated render_scatter(parse_records(emit_records(
