@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .boundaries import boundary_interval
@@ -15,7 +16,7 @@ from .costs import ALL_KINDS, KIND_BY_CODE, CostParams, cost_init, cost_random
 from .errors import DataError, InputContractError
 from .io import parse_matrix, parse_prediction, summarize
 from .model import classify, project_view
-from .reporting import METRICS, emit_records, parse_records, render_scatter
+from .reporting import METRICS, _columns, _record_lines, parse_records, render_scatter
 from .simulation import DEFAULT_P_QF_VALUES, GridConfig, run_grid
 
 KIND_CODES = tuple(KIND_BY_CODE)
@@ -32,10 +33,14 @@ def _read(path: str) -> str:
         raise DataError(f"{path}: not UTF-8 text (byte {error.start})") from None
 
 
+def _load_matrix(path: str):
+    """The project in the matrix file at ``path``, with the file's stem as its id."""
+    return parse_matrix(_read(path), project_id=Path(path).stem)
+
+
 def _load_view(args) -> tuple:
     kind = KIND_BY_CODE[args.kind]
-    project = parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem)
-    view = project_view(project, kind.relationship)
+    view = project_view(_load_matrix(args.matrix), kind.relationship)
     prediction = parse_prediction(_read(args.predictions), view)
     outcome = classify(view, prediction)
     return kind, view, outcome
@@ -43,7 +48,7 @@ def _load_view(args) -> tuple:
 
 def _cmd_aggregates(args) -> int:
     """Print the matrix's aggregates on the subcommand's own ``line``."""
-    spec = summarize(parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem))
+    spec = summarize(_load_matrix(args.matrix))
     print(args.line.format_map(vars(spec)))
     return 0
 
@@ -111,18 +116,18 @@ def _cmd_simulate(args) -> int:
         raise InputContractError(
             f"the grid asks for {records} records, more than the {MAX_GRID_RECORDS} allowed"
         )
-    project = parse_matrix(_read(args.matrix), project_id=Path(args.matrix).stem)
+    project = _load_matrix(args.matrix)
     config = GridConfig(
         accuracies=tuple(round(args.acc_min + i * args.acc_step, 10) for i in range(count)),
         repetitions=args.reps,
         p_qf_values=p_qf_values,
         seed=args.seed,
     )
-    text = emit_records(run_grid(project, config))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    chunks = _record_lines(*_columns(run_grid(project, config)))
+    header = next(chunks)  # after the project id is checked, so a refused one writes no file
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        out.writelines(header)
+        out.writelines(map("".join, chunks))
     return 0
 
 

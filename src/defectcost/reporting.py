@@ -58,77 +58,84 @@ def _check_project_ids(projects) -> None:
             )
 
 
-def _csv_text(table: RecordTable) -> str:
-    """The record CSV, formatting each cell's and each setting's fields once.
+def _record_lines(cells, settings, rows):
+    """Record CSV: a list of its header line, then lists of ``_CHUNK_LINES`` record lines.
 
-    Boundaries are floats, so ``repr`` writes them as ``_csv_cell`` would, an
-    unbounded one as ``inf``."""
-    _check_project_ids(table.project)
-    heads = [
-        f"{_csv_cell(p)},{_csv_cell(a)},{_csv_cell(r)}"
-        for p, a, r in zip(table.project, table.accuracy, table.repetition)
-    ]
-    outcomes = [
-        ",".join(map(_csv_cell, fields))
-        for fields in zip(table.tp, table.fp, table.tn, table.fn, table.precision, table.recall)
-    ]
-    settings = [
-        f"{_csv_cell(p_qf)},{kind.qa_mode.value},{kind.relationship.value}"
-        for p_qf, kind in table.settings
-    ]
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(
-        f"{heads[c]},{settings[s]},{outcomes[c]},{lo!r},{up!r},{'true' if saving else 'false'}"
-        for c, s, lo, up, saving in zip(
-            table.cell, table.setting, table.lower, table.upper, table.cost_saving
-        )
-    )
-    lines.append("")
-    return "\n".join(lines)
+    ``cells`` and ``rows`` are the columns of ``RecordTable.CELL_COLUMNS`` and
+    ``ROW_COLUMNS`` in order, and ``settings`` the (p_qf, kind) pairs.  Each
+    cell's and setting's fields are formatted once, with ``_csv_cell``; a float
+    boundary's ``str`` is its shortest ``repr``, or ``inf``.  The project ids
+    are checked before anything is yielded."""
+    _check_project_ids(cells[0])
+    heads = [f"{_csv_cell(p)},{_csv_cell(a)},{_csv_cell(r)}" for p, a, r in zip(*cells[:3])]
+    outcomes = [",".join(map(_csv_cell, fields)) for fields in zip(*cells[3:])]
+    settings = [f"{_csv_cell(p)},{k.qa_mode.value},{k.relationship.value}" for p, k in settings]
+    yield [",".join(CSV_COLUMNS) + "\n"]
+    lines = zip(*rows)
+    while chunk := [
+        f"{heads[c]},{settings[s]},{outcomes[c]},{lo!s},{up!s},{'true' if saving else 'false'}\n"
+        for c, s, lo, up, saving in islice(lines, _CHUNK_LINES)
+    ]:
+        yield chunk
+
+
+def _record_text(cells, settings, rows) -> str:
+    """The record CSV of ``_record_lines``, joined once from one list of its lines: a
+    text joined per chunk first stayed on the malloc heap and raised the peak RSS."""
+    lines = []
+    for chunk in _record_lines(cells, settings, rows):
+        lines += chunk
+    return "".join(lines)
+
+
+def _columns(table: RecordTable) -> tuple:
+    """A table's cell columns, settings and row columns, as ``_record_lines`` takes them."""
+    cells = [getattr(table, name) for name in RecordTable.CELL_COLUMNS]
+    return cells, table.settings, [getattr(table, name) for name in RecordTable.ROW_COLUMNS]
 
 
 def _table(records) -> tuple[RecordTable, str | None]:
     """``records`` as a table, with the record CSV read back when they are not one.
 
-    Other records must have a ``str`` project, a ``ModelKind`` kind and a
-    ``ConfusionMatrix`` cm.  They are written one line per record and read
-    back by ``parse_records``: ``InputContractError`` unless it accepts the
-    text and gives the same records, each compared with its row as one flat
-    tuple of fields, so that no record is built to compare it."""
+    Other records must be an iterable of records with a ``str`` project, a
+    ``ModelKind`` kind and a ``ConfusionMatrix`` cm.  Each is taken as one flat
+    tuple of its fields, in a table's order, then its and its cm's types, and
+    written as its own cell and setting.  ``InputContractError`` unless
+    ``parse_records`` accepts the text and gives the same tuples, exact types
+    included as the records' ``__eq__`` requires; no record is built to compare."""
     if isinstance(records, RecordTable):
         return records, None
-    records = list(records)
-    for r in records:
-        _id("project", r.project)
-        _instance("kind", r.kind, ModelKind)
-        _instance("cm", r.cm, ConfusionMatrix)
-    _check_project_ids(r.project for r in records)
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(
-        ",".join(map(_csv_cell, (
-            r.project, r.accuracy, r.repetition, r.p_qf, r.kind.qa_mode.value,
-            r.kind.relationship.value, r.cm.tp, r.cm.fp, r.cm.tn, r.cm.fn, r.precision,
-            r.recall, r.lower, r.upper, "true" if r.cost_saving else "false",
-        )))
-        for r in records
-    )
-    lines.append("")
-    text = "\n".join(lines)
+    try:
+        items = iter(records)
+    except TypeError:
+        raise InputContractError(
+            f"records must be a RecordTable or an iterable of records, got {_shown(records)}"
+        ) from None
+    fields = []
+    for i, r in enumerate(items):
+        try:
+            _id("project", r.project)
+            _instance("kind", r.kind, ModelKind)
+            _instance("cm", r.cm, ConfusionMatrix)
+            fields.append((
+                r.project, r.accuracy, r.repetition, r.cm.tp, r.cm.fp, r.cm.tn, r.cm.fn,
+                r.precision, r.recall, r.p_qf, r.kind, r.lower, r.upper, r.cost_saving,
+                type(r), type(r.cm),
+            ))
+        except AttributeError as error:
+            raise InputContractError(f"record {i} lacks a record field: {error}") from None
+    columns = list(zip(*fields)) or [()] * 16  # no records: 16 empty columns
+    own = range(len(fields))  # each record is its own cell and its own setting
+    bounds = [map(_csv_cell, column) for column in columns[11:13]]  # None as an empty field
+    text = _record_text(columns[:9], zip(*columns[9:11]), (own, own, *bounds, columns[13]))
     try:
         table = parse_records(text)
     except ParseError as error:
         raise InputContractError(f"records do not read back as written: {error}") from None
-    cells = list(zip(*(getattr(table, name) for name in RecordTable.CELL_COLUMNS)))
-    rows = zip(table.cell, table.setting, table.lower, table.upper, table.cost_saving)
-    for i, (r, (c, s, *ends)) in enumerate(zip(records, rows)):
-        # the exact types, as an ExperimentRecord's and a ConfusionMatrix's __eq__ require
-        if (
-            type(r) is not ExperimentRecord
-            or type(r.cm) is not ConfusionMatrix
-            or (r.project, r.accuracy, r.repetition, r.cm.tp, r.cm.fp, r.cm.tn, r.cm.fn,
-                r.precision, r.recall, r.p_qf, r.kind, r.lower, r.upper, r.cost_saving)
-            != (*cells[c], *table.settings[s], *ends)
-        ):
+    cells, settings, rows = _columns(table)
+    cells = list(zip(*cells))
+    for i, (written, (c, s, *ends)) in enumerate(zip(fields, zip(*rows))):
+        if written != (*cells[c], *settings[s], *ends, ExperimentRecord, ConfusionMatrix):
             raise InputContractError(f"record {i} reads back as {table[i]!r}, not as written")
     return table, text
 
@@ -141,7 +148,7 @@ def emit_records(records) -> str:
     Record CSV has no quoting, so a project id holding a comma or a line break
     is rejected."""
     table, text = _table(records)
-    return _csv_text(table) if text is None else text
+    return _record_text(*_columns(table)) if text is None else text
 
 
 def _optional_float(text: str) -> float | None:
@@ -198,10 +205,12 @@ _FIELD_RULES = {
 }
 # A record's setting fields; its cell fields are RecordTable.CELL_COLUMNS.
 _SETTING_FIELDS = ("p_qf", "qa_mode", "relationship")
-# Record CSV is split into fields this many lines at a time.  A chunk of
-# corpus records is about 60 KB of text and 0.5 MB of field strings, reused
-# from the malloc heap; chunks of 4,096 lines held eight times that and
-# raised the peak RSS of the corpus grid workload by about 4 MiB.
+# Record CSV is written, and split into fields, this many lines at a time.  A
+# chunk of corpus records is about 60 KB of text and 0.5 MB of field strings,
+# reused from the malloc heap; chunks of 4,096 lines held eight times that and
+# raised the peak RSS of the corpus grid workload by about 4 MiB.  simulate
+# writes each chunk as it comes, so it holds one chunk's lines, never its whole
+# text.
 _CHUNK_LINES = 512
 
 

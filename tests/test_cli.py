@@ -1,13 +1,25 @@
 import contextlib
 import io
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectcost import DEFAULT_ACCURACIES, KIND_BY_CODE, parse_records
+import defectcost.reporting
+from defectcost import (
+    DEFAULT_ACCURACIES,
+    KIND_BY_CODE,
+    GridConfig,
+    emit_records,
+    format_matrix,
+    parse_matrix,
+    parse_records,
+    run_grid,
+    sample_corpus,
+)
 from defectcost.cli import MAX_GRID_RECORDS, cli_dispatch
 from defectcost.reporting import METRICS
 
@@ -213,6 +225,54 @@ class TestSimulateArguments:
         assert cli_dispatch(argv) == 1
         assert "comma" in capsys.readouterr().err
         assert not out.exists()
+        assert cli_dispatch(argv[:-2]) == 1
+        captured = capsys.readouterr()
+        assert "comma" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("chunk_lines", [1, 7, defectcost.reporting._CHUNK_LINES])
+    def test_output_is_emit_records_of_the_grid(
+        self, matrix_path, tmp_path, chunk_lines, monkeypatch, capsys
+    ):
+        # written a chunk at a time, the lines cross chunk boundaries
+        config = GridConfig(repetitions=3, seed=5)
+        expected = emit_records(run_grid(parse_matrix(MATRIX_E, project_id="matrix"), config))
+        monkeypatch.setattr(defectcost.reporting, "_CHUNK_LINES", chunk_lines)
+        argv = ["simulate", "--matrix", matrix_path, "--seed", "5", "--reps", "3"]
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "records.csv"
+        assert cli_dispatch(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert capsys.readouterr().out == ""
+
+    def test_traced_peak_grows_slower_than_twice_the_output(self, tmp_path):
+        # simulate writes its text a chunk at a time, so the peak grows only by
+        # the record table: about 120-180 bytes per record against about 121
+        # bytes of text on kafka, where the whole text and its line list grew
+        # it by about 430
+        (kafka,) = (p for p in sample_corpus(2024) if p.id == "kafka")
+        matrix = tmp_path / "kafka.csv"
+        matrix.write_text(format_matrix(kafka))
+        out = tmp_path / "records.csv"
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            peaks, sizes = [], []
+            for reps in (20, 100):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                argv = ["simulate", "--matrix", str(matrix), "--seed", "1", "--reps", str(reps)]
+                assert cli_dispatch(argv + ["--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                sizes.append(out.stat().st_size)
+        finally:
+            if started:
+                tracemalloc.stop()
+        records = (100 - 20) * len(DEFAULT_ACCURACIES) * 2 * 6
+        growth, written = (peaks[1] - peaks[0]) / records, (sizes[1] - sizes[0]) / records
+        assert growth < 2 * written
 
 
 class TestCostArguments:

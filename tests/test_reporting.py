@@ -196,6 +196,32 @@ class TestEmitRecords:
                 with pytest.raises(InputContractError, match="record 1 reads back as"):
                     read([record(), other])
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (5, "records must be a RecordTable or an iterable of records, got 5"),
+            (None, "records must be a RecordTable or an iterable of records, got None"),
+            ([5], "record 0 lacks a record field: 'int' object has no attribute 'project'"),
+            ("abc", "record 0 lacks a record field: 'str' object has no attribute 'project'"),
+            ([None], "record 0 lacks a record field: 'NoneType' object has no attribute"),
+            (
+                [record(), SimpleNamespace(**{**vars(record()), "lower": None}), object()],
+                "record 2 lacks a record field: 'object' object has no attribute 'project'",
+            ),
+            (
+                [
+                    record(),
+                    SimpleNamespace(**{k: v for k, v in vars(record()).items() if k != "upper"}),
+                ],
+                "record 1 lacks a record field: .* has no attribute 'upper'",
+            ),
+        ],
+    )
+    def test_what_is_not_records_is_refused(self, records, message):
+        for read in READERS:
+            with pytest.raises(InputContractError, match=message):
+                read(records)
+
     def test_a_table_is_not_read_back(self, project_e, monkeypatch):
         table = run_grid(project_e, GridConfig(accuracies=(0.5,), repetitions=2, seed=4))
         results = [read(table) for read in READERS]
