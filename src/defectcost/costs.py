@@ -27,9 +27,10 @@ and the escape weight, a function of the defect's cardinality k, in
 the initialized costs and the boundaries (``defectcost.boundaries``) all they
 read about an outcome: QA spent and unspent, and n_k defects and h_k
 predicted ones per k.  The 1-m and 1-1 views are n-m data with single-member
-defects, so no formula depends on the view.  ``boundaries._ends`` turns QA
-spent and unspent and the escape weight prevented and lost into the lower
-end, the upper end and the cost-saving verdict, both for
+defects from ``model.project_view``, for one prediction and the grid alike,
+so no formula on either path depends on the view.  ``boundaries._ends``
+turns QA spent and unspent and the escape weight prevented and lost into the
+lower end, the upper end and the cost-saving verdict, both for
 ``boundary_interval`` and, as arrays over every grid cell, for
 ``defectcost.simulation.run_grid``.
 """

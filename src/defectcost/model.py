@@ -349,8 +349,8 @@ def _defects_hit(project: Project, predicted: np.ndarray) -> np.ndarray:
     """Per defect: are all its artifacts marked in ``predicted``, an artifact mask or
     stacked label rows (leading axes rows, last axis artifacts; dtype kept)?"""
     indices, starts = project._member_csr
-    if len(starts) == 1:
-        return np.zeros((*predicted.shape[:-1], 0), dtype=predicted.dtype)
+    if len(indices) == len(starts) - 1:  # one member per defect, or no defect: its label
+        return predicted[..., indices]
     return np.minimum.reduceat(predicted[..., indices], starts[:-1], axis=-1)
 
 
@@ -390,6 +390,7 @@ def project_view(project: Project, target: Relationship) -> Project:
     project's arrays; only its member incidence is new, and its defect ids are
     derived when first read.
     """
+    _instance("project", project, Project)
     _instance("target", target, Relationship)
     if project.relationship is not Relationship.N_TO_M:
         raise InputContractError(

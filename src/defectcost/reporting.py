@@ -68,7 +68,11 @@ def _record_lines(cells, settings, rows):
     are checked before anything is yielded."""
     _check_project_ids(cells[0])
     heads = [f"{_csv_cell(p)},{_csv_cell(a)},{_csv_cell(r)}" for p, a, r in zip(*cells[:3])]
-    outcomes = [",".join(map(_csv_cell, fields)) for fields in zip(*cells[3:])]
+    outcomes = [
+        f"{_csv_cell(tp)},{_csv_cell(fp)},{_csv_cell(tn)},{_csv_cell(fn)},"
+        f"{_csv_cell(pr)},{_csv_cell(rc)}"
+        for tp, fp, tn, fn, pr, rc in zip(*cells[3:])
+    ]
     settings = [f"{_csv_cell(p)},{k.qa_mode.value},{k.relationship.value}" for p, k in settings]
     yield [",".join(CSV_COLUMNS) + "\n"]
     lines = zip(*rows)

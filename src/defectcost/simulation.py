@@ -35,12 +35,12 @@ and kind, with cells of equal accuracy values in grid order within each
 
 Which terms read which files
 ----------------------------
-``run_grid`` reduces each labeling to QA spent under each QA mode, true
-positives, predicted (defect, artifact) incidence pairs and predicted defects
-per defect cardinality: counts, exact in any order and BLAS kernel, weighted
-afterwards as for ``boundary_interval``, which the bounds equal bit for bit.
-Only the QA sums read every file.  The other terms come from the defective
-files alone, usually a small minority of a project.
+``run_grid`` reduces each labeling to QA spent under each QA mode and, per
+view of ``model.project_view``, the defects that ``model._defects_hit`` finds
+predicted per defect cardinality: counts, exact in any order and BLAS kernel,
+weighted afterwards as for ``boundary_interval``, which the bounds equal bit
+for bit.  Only the QA sums read every file; the hits read only the defects'
+members, the defective files, usually a small minority of a project.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .costs import (
 )
 from .errors import InputContractError, _instance, _number, _shown
 from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit, _share
+from .model import project_view
 
 _MASK64 = (1 << 64) - 1
 
@@ -182,6 +183,7 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     flipped otherwise.  The result is fully determined by ``cell_seed``, an
     integer in [0, 2^64); ``accuracy`` is a number in [0, 1].
     """
+    _instance("project", project, Project)
     accuracy = _number("accuracy", accuracy, "a number in [0, 1]", _is_probability)
     cell_seed = _uint64("cell_seed", cell_seed)
     truth = project.defective_mask
@@ -308,39 +310,33 @@ class RecordTable(Sequence):
         return f"<RecordTable of {len(self)} records>"
 
 
-def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.ndarray]:
+def _cell_sums(project: Project, config: GridConfig, views: dict) -> tuple[np.ndarray, dict]:
     """Draw every cell's labeling and reduce it; cell ``a * repetitions + r``.
 
-    Returns the (cells, 4) label sums [QA spent per ``QAMode`` (``qa_cost_vector``),
-    true positives, predicted (defect, artifact) incidence pairs] and the (cells,
-    k) defects that ``_defects_hit`` finds predicted per cardinality k of
-    ``Project._cardinality_table``, ``hit @ onehot(cardinality)``.
+    Returns the (cells, 2) QA spent per ``QAMode`` (``qa_cost_vector``) and, per view
+    of ``views``, the (cells, K) defects that ``_defects_hit`` finds predicted per
+    cardinality k of the view's ``_cardinality_table``, ``hit @ onehot(cardinality)``.
 
-    Cells are drawn in blocks of label rows.  Only two steps read every file:
-    the uniforms are thresholded in place into 0/1 "kept" flags, and one
-    two-column product gives QA spent, ``clean totals + kept @ signed``, where
-    ``signed`` is each file's QA cost negated on the clean files (a clean file
-    is predicted when flipped, a defective one when kept).  The true positives,
-    incidence pairs and defect hits read only the defective files, where kept
-    is the label.  Every sum is an integer, exact in float64 in any order.
+    Cells are drawn in blocks of label rows.  Only two steps read every file: the
+    uniforms are thresholded in place into 0/1 "kept" flags, and one two-column product
+    gives QA spent, ``clean totals + kept @ signed``, where ``signed`` is each file's QA
+    cost negated on the clean files (a clean file is predicted when flipped, a
+    defective one when kept).  The defect hits read only the defects' member files,
+    where kept is the label.  Every sum is an integer, exact in float64 in any order.
     """
     n = len(project.sizes)
-    truth = project.defective_mask
-    defective = np.flatnonzero(truth)
-    clean = ~truth[:, None]
+    clean = ~project.defective_mask[:, None]
     signed = np.empty((n, len(QAMode)))
     for column, mode in enumerate(QAMode):
         signed[:, column] = qa_cost_vector(project, mode)
     clean_totals = signed.sum(axis=0, where=clean)
     np.negative(signed, out=signed, where=clean)
-    members = np.bincount(project._member_csr[0], minlength=n)[defective]
-    counts = np.column_stack([np.ones(len(defective)), members])
-    ks, _, position = project._cardinality_table
-    onehot = (position[:, None] == np.arange(len(ks))).astype(np.float64)
+    tables = {rel: view._cardinality_table for rel, view in views.items()}
+    onehots = {rel: np.eye(len(ks))[position] for rel, (ks, _, position) in tables.items()}
     repetitions = config.repetitions
     n_cells = len(config.accuracies) * repetitions
-    sums = np.empty((n_cells, 4))
-    hits = np.empty((n_cells, len(ks)))
+    spent = np.empty((n_cells, len(QAMode)))
+    hits = {rel: np.empty((n_cells, onehot.shape[1])) for rel, onehot in onehots.items()}
     block = max(1, min(_BLOCK_CELLS, _BLOCK_LABELS // max(n, 1)))
     uniforms = np.empty((block, n))
     states = _pcg64_states(_cell_seeds(config.seed, len(config.accuracies), repetitions))
@@ -360,10 +356,10 @@ def _cell_sums(project: Project, config: GridConfig) -> tuple[np.ndarray, np.nda
             }
             generator.random(out=row)
         np.less(kept, accuracies[start:stop], out=kept)
-        np.add(kept @ signed, clean_totals, out=sums[start:stop, :2])
-        sums[start:stop, 2:] = kept[:, defective] @ counts
-        hits[start:stop] = _defects_hit(project, kept) @ onehot
-    return sums, hits
+        np.add(kept @ signed, clean_totals, out=spent[start:stop])
+        for rel, view in views.items():
+            hits[rel][start:stop] = _defects_hit(view, kept) @ onehots[rel]
+    return spent, hits
 
 
 def _canonical_rows(config: GridConfig, n_settings: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,27 +387,23 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     len(model_kinds)`` records in canonical order.  Equal inputs produce equal
     outputs.
     """
-    if project.relationship is not Relationship.N_TO_M:
-        raise InputContractError("run_grid expects the full n-m project")
-    sums, hits = _cell_sums(project, config)
+    views = {rel: project_view(project, rel) for rel in Relationship}
+    _instance("config", config, GridConfig)
+    spent, hits = _cell_sums(project, config, views)
     n = len(project.sizes)
-    n_defective = int(np.count_nonzero(project.defective_mask))
-    *spent, tp, predicted_pairs = sums.T
     # QA spent and unspent per QA mode (cells,)
     qa = {
         mode: (mode_spent, qa_cost_vector(project, mode).sum() - mode_spent)
-        for mode, mode_spent in zip(QAMode, spent)
+        for mode, mode_spent in zip(QAMode, spent.T)
     }
-    # (k, n_k, h_k per cell) per view: a 1-m defect is an incidence pair, a 1-1 defect a file
-    ks, counts, _ = project._cardinality_table
-    tables = {
-        Relationship.N_TO_M: (ks, counts, hits.T),
-        Relationship.ONE_TO_M: ([1], [int(project.defect_cardinalities.sum())], [predicted_pairs]),
-        Relationship.ONE_TO_ONE: ([1], [n_defective], [tp]),
-    }
+    # (k, n_k, h_k per cell) per view, as boundary_interval reads them
+    tables = {rel: (*views[rel]._cardinality_table[:2], block.T) for rel, block in hits.items()}
+    # true positives and defective files: the 1-1 view's predicted and total defects
+    n_defective = sum(tables[Relationship.ONE_TO_ONE][1])
+    tp = hits[Relationship.ONE_TO_ONE].sum(axis=1)
     settings = [(p_qf, kind) for p_qf in config.p_qf_values for kind in config.model_kinds]
     # lower, upper and verdict (cells, settings): _ends of every cell, per setting
-    lower, upper, saving = (np.empty((len(sums), len(settings)), t) for t in (float, float, bool))
+    lower, upper, saving = (np.empty((len(spent), len(settings)), t) for t in (float, float, bool))
     for s, (p_qf, kind) in enumerate(settings):
         prevented, lost = _escaped(p_qf, *tables[kind.relationship])
         lower[:, s], upper[:, s], saving[:, s] = _ends(*qa[kind.qa_mode], prevented, lost)
@@ -422,7 +414,7 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     fps = (predicted - tp).astype(np.int64).tolist()
     fns = [n_defective - t for t in tps]
     cells = {
-        "project": [project.id] * len(sums),
+        "project": [project.id] * len(spent),
         "accuracy": [a for a in config.accuracies for _ in range(config.repetitions)],
         "repetition": list(range(config.repetitions)) * len(config.accuracies),
         "tp": tps,

@@ -8,8 +8,9 @@ that sum.
 
 ``dense_cell_sums`` keeps the dense kernel that ``simulation._cell_sums``
 replaced: every cell's 0/1 labels, stacked into the same blocks, times one
-column per sum over all files, and the defect hits of the labels counted per
-distinct defect cardinality.
+column per sum over all files, the n-m defect hits of the labels counted per
+distinct defect cardinality, and the 1-m and 1-1 hits by their own formulas,
+not through ``project_view``.
 """
 
 import math
@@ -27,7 +28,6 @@ from defectcost import (
     recall,
 )
 from defectcost.costs import qa_cost_vector
-from defectcost.model import _defects_hit
 
 
 def _labels(project, accuracy, seed):
@@ -123,24 +123,25 @@ def reference_grid(project, config):
 
 
 def dense_cell_sums(project, config, block_cells, block_labels):
-    """The (cells, 4) sums and (cells, cardinalities) hits of ``simulation._cell_sums``
-    under its block rule, from dense label rows: ``labels @ column_stack(QA cost
-    per mode, truth, member count per file)``, and the defect hits of the labels
-    times one indicator column per distinct defect cardinality, ascending."""
+    """QA spent per mode (cells, 2) and the hits per view (cells, K) of
+    ``simulation._cell_sums`` under its block rule, from dense label rows, by the
+    per-view formulas it replaced: QA spent is ``labels @ QA cost per mode``; n-m
+    hits are the all-members minimum of the labels times one indicator column per
+    distinct defect cardinality, ascending; a 1-m defect is an incidence pair, so
+    its one column is the labels weighted by each file's member count, and a 1-1
+    defect a defective file, so its one column is the defective files' labels.
+    Without defects each view has zero columns."""
     n = len(project.sizes)
     truth = project.defective_mask
-    columns = np.column_stack(
-        [
-            *(qa_cost_vector(project, mode) for mode in QAMode),
-            truth,
-            np.bincount(project._member_csr[0], minlength=n),
-        ]
-    )
+    indices, starts = project._member_csr
+    qa = np.column_stack([qa_cost_vector(project, mode) for mode in QAMode])
+    members = np.bincount(indices, minlength=n)
     ks, cardinality = np.unique(project.defect_cardinalities, return_inverse=True)
     indicators = np.eye(len(ks))[cardinality]
+    width = min(1, len(ks))  # one column per single-member view, none without defects
     cells = [(a, r) for a in range(len(config.accuracies)) for r in range(config.repetitions)]
     block = max(1, min(block_cells, block_labels // max(n, 1)))
-    sums, hits = [], []
+    spent, hits = [], {rel: [] for rel in Relationship}
     for start in range(0, len(cells), block):
         rows = np.array(
             [
@@ -149,6 +150,11 @@ def dense_cell_sums(project, config, block_cells, block_labels):
             ],
             dtype=np.float64,
         )
-        sums.append(rows @ columns)
-        hits.append(_defects_hit(project, rows) @ indicators)
-    return np.concatenate(sums), np.concatenate(hits)
+        spent.append(rows @ qa)
+        all_members = (
+            np.minimum.reduceat(rows[:, indices], starts[:-1], axis=1) if len(ks) else rows[:, :0]
+        )
+        hits[Relationship.N_TO_M].append(all_members @ indicators)
+        hits[Relationship.ONE_TO_M].append((rows @ members)[:, None][:, :width])
+        hits[Relationship.ONE_TO_ONE].append((rows @ truth)[:, None][:, :width])
+    return np.concatenate(spent), {rel: np.concatenate(h) for rel, h in hits.items()}

@@ -281,16 +281,22 @@ class TestInvariantEnforcement:
              r"predicted_defects must be a set of str defect ids, got \[1\]"),
             (lambda: OutcomeSummary(CM, (), None, ()),
              "missed_defects must be a set of str defect ids, got None"),
+            (lambda: run_grid(5, GridConfig()), "project must be a Project, got 5"),
+            (lambda: run_grid(Project("p", (), ()), 5), "config must be a GridConfig, got 5"),
+            (lambda: simulate_prediction(5, 0.5, 1), "project must be a Project, got 5"),
+            (lambda: project_view(5, Relationship.ONE_TO_M), "project must be a Project, got 5"),
         ],
         ids=["artifact", "artifact-none", "defect", "member", "project", "unhashable-project",
              "huge-project", "parsed-project", "relationship", "view-target", "trend-kind",
              "scatter-kind", "huge-members", "outcome-cm", "outcome-artifacts",
-             "outcome-predicted", "outcome-missed"],
+             "outcome-predicted", "outcome-missed", "grid-project", "grid-config",
+             "simulated-project", "view-project"],
     )
     def test_ids_must_be_str(self, build, message):
         # the writers and records rely on it: format_matrix and emit_records
         # no longer test the type of an id; an enum argument is checked the same way,
-        # and so are the confusion matrix and id sets of a hand-built outcome
+        # and so are the confusion matrix and id sets of a hand-built outcome and the
+        # project and config that the grid path reads
         with pytest.raises(InputContractError, match=message):
             build()
 

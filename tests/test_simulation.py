@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from defectcost import (
     ALL_KINDS,
@@ -37,6 +38,7 @@ from defectcost import (
     simulate_prediction,
 )
 from defectcost import simulation
+from defectcost.model import _defects_hit
 
 from .grid_reference import dense_cell_sums, reference_grid
 from .strategies import random_project
@@ -483,11 +485,50 @@ class TestKernelAgainstDense:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulation, "_BLOCK_CELLS", block_cells)
             patch.setattr(simulation, "_BLOCK_LABELS", block_labels)
-            got = simulation._cell_sums(project, config)
-        expected = dense_cell_sums(project, config, block_cells, block_labels)
-        for mine, dense in zip(got, expected):
+            views = {rel: project_view(project, rel) for rel in Relationship}
+            spent, hits = simulation._cell_sums(project, config, views)
+        dense_spent, dense_hits = dense_cell_sums(project, config, block_cells, block_labels)
+        assert list(hits) == list(dense_hits) == list(Relationship)
+        for mine, dense in zip([spent, *hits.values()], [dense_spent, *dense_hits.values()]):
             assert mine.shape == dense.shape and mine.dtype == dense.dtype
             assert mine.tobytes() == dense.tobytes()  # signbit of zeros included
+
+
+class TestDefectsHit:
+    """``_defects_hit`` on every view of a grid case: the all-members minimum of
+    ``np.minimum.reduceat``, or zero columns without defects; shape and dtype kept."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid_cases(),
+        st.sampled_from(list(Relationship)),
+        st.sampled_from([(bool, ()), (np.float64, (3,)), (np.int8, (2,))]),
+        st.data(),
+    )
+    def test_equals_reduceat(self, case, rel, layout, data):
+        project, _ = case
+        view = project_view(project, rel)
+        dtype, rows = layout
+        predicted = data.draw(
+            arrays(dtype, (*rows, len(project.sizes)), elements=st.sampled_from([0, 1]))
+        )
+        indices, starts = view._member_csr
+        if len(starts) > 1:
+            expected = np.minimum.reduceat(predicted[..., indices], starts[:-1], axis=-1)
+        else:
+            expected = np.zeros((*rows, 0), dtype=dtype)
+        got = _defects_hit(view, predicted)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_cases())
+    def test_grid_cases_match_public_route(self, case):
+        # single-member n-m projects take the gather on both paths; accuracies are
+        # made distinct, as assert_matches_public_route finds a cell by its accuracy
+        project, config = case
+        accuracies = tuple(dict.fromkeys(config.accuracies))
+        assert_matches_public_route(project, replace(config, accuracies=accuracies))
 
 
 @pytest.fixture(scope="module")
