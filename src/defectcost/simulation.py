@@ -29,9 +29,9 @@ Space-Efficient Statistically Good Algorithms for Random Number Generation",
 ``tests/test_simulation.py`` pins that derivation to numpy's own seeding.
 One labeling per (accuracy, repetition) cell is shared by all failure
 probabilities and model kinds, which isolates their effect from sampling
-noise.  Records come in canonical order: by accuracy value, repetition, p_qf
-and kind, with cells of equal accuracy values in grid order within each
-(repetition, p_qf, kind).
+noise.  Accuracies are strictly ascending, so records come in grid order:
+by accuracy, repetition, p_qf and kind, each accuracy's records one
+contiguous run.
 
 Which terms read which files
 ----------------------------
@@ -45,7 +45,6 @@ members, the defective files, usually a small minority of a project.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -196,8 +195,10 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
 class GridConfig:
     """Sweep settings: accuracy grid, repetitions, failure probabilities, seed, kinds.
 
-    Accuracies are numbers in [0, 1] and p_qf values numbers in [0, 1), stored
-    as floats; ``repetitions`` is an integer >= 1 and ``seed`` one in [0, 2^64)."""
+    Accuracies are strictly ascending numbers in [0, 1] and p_qf values numbers
+    in [0, 1), stored as floats; ``repetitions`` is an integer >= 1 and ``seed``
+    one in [0, 2^64).  Accuracies out of order are refused, not sorted: a cell's
+    seed follows its accuracy index, and the records follow the grid's order."""
 
     accuracies: tuple[float, ...] = DEFAULT_ACCURACIES
     repetitions: int = 100
@@ -206,10 +207,13 @@ class GridConfig:
     model_kinds: tuple[ModelKind, ...] = ALL_KINDS
 
     def __post_init__(self):
-        accuracies = [
-            _number("accuracies", a, "numbers in [0, 1]", _is_probability)
+        # floats, so that an integer setting is written as the parser reads it back
+        accuracies = tuple(
+            float(_number("accuracies", a, "numbers in [0, 1]", _is_probability))
             for a in _items("accuracies", self.accuracies, "numbers")
-        ]
+        )
+        if any(b <= a for a, b in zip(accuracies, accuracies[1:])):
+            raise InputContractError(f"accuracies must be strictly ascending, got {accuracies}")
         repetitions = _number(
             "repetitions", self.repetitions, "an integer >= 1", lambda r: r >= 1, integer=True
         )
@@ -223,8 +227,7 @@ class GridConfig:
             _instance("model_kinds", kind, ModelKind)
         object.__setattr__(self, "repetitions", repetitions)
         object.__setattr__(self, "seed", seed)
-        # floats, so that an integer setting is written as the parser reads it back
-        object.__setattr__(self, "accuracies", tuple(map(float, accuracies)))
+        object.__setattr__(self, "accuracies", accuracies)
         object.__setattr__(self, "p_qf_values", tuple(sorted(set(map(float, p_qf_values)))))
         kinds = tuple(sorted(set(kinds), key=ALL_KINDS.index))
         object.__setattr__(self, "model_kinds", kinds)
@@ -362,30 +365,13 @@ def _cell_sums(project: Project, config: GridConfig, views: dict) -> tuple[np.nd
     return spent, hits
 
 
-def _canonical_rows(config: GridConfig, n_settings: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cell, setting) of every row, sorted by accuracy value, repetition and setting.
-
-    Cells whose accuracies are equal interleave in grid order at the finest
-    level, as a stable sort on (accuracy, repetition, p_qf, kind) puts them.
-    """
-    repetitions = config.repetitions
-    order = sorted(range(len(config.accuracies)), key=config.accuracies.__getitem__)
-    cells, settings = [], []
-    for _, group in itertools.groupby(order, key=config.accuracies.__getitem__):
-        members = np.array(list(group))
-        shape = (repetitions, n_settings, len(members))
-        cell = members * repetitions + np.arange(repetitions)[:, None, None]
-        cells.append(np.broadcast_to(cell, shape).ravel())
-        settings.append(np.broadcast_to(np.arange(n_settings)[:, None], shape).ravel())
-    return np.concatenate(cells), np.concatenate(settings)
-
-
 def run_grid(project: Project, config: GridConfig) -> RecordTable:
     """Evaluate the full simulation grid on an n-m project.
 
     Returns exactly ``len(accuracies) * repetitions * len(p_qf_values) *
-    len(model_kinds)`` records in canonical order.  Equal inputs produce equal
-    outputs.
+    len(model_kinds)`` records in grid order: by accuracy, which ``GridConfig``
+    holds strictly ascending, then repetition, p_qf and kind.  Equal inputs
+    produce equal outputs.
     """
     views = {rel: project_view(project, rel) for rel in Relationship}
     _instance("config", config, GridConfig)
@@ -407,8 +393,6 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     for s, (p_qf, kind) in enumerate(settings):
         prevented, lost = _escaped(p_qf, *tables[kind.relationship])
         lower[:, s], upper[:, s], saving[:, s] = _ends(*qa[kind.qa_mode], prevented, lost)
-    row_cell, row_setting = _canonical_rows(config, len(settings))
-    lower, upper, cost_saving = (e[row_cell, row_setting] for e in (lower, upper, saving))
     predicted = qa[QAMode.CONSTANT][0]  # one QA unit per predicted artifact
     tps = tp.astype(np.int64).tolist()
     fps = (predicted - tp).astype(np.int64).tolist()
@@ -425,10 +409,10 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
         "recall": [_share(t, n_defective) for t in tps],
     }
     rows = {
-        "cell": row_cell.tolist(),
-        "setting": row_setting.tolist(),
-        "lower": lower.tolist(),
-        "upper": upper.tolist(),
-        "cost_saving": cost_saving.tolist(),
+        "cell": np.arange(len(spent)).repeat(len(settings)).tolist(),
+        "setting": list(range(len(settings))) * len(spent),
+        "lower": lower.ravel().tolist(),
+        "upper": upper.ravel().tolist(),
+        "cost_saving": saving.ravel().tolist(),
     }
     return RecordTable(cells, settings, rows)

@@ -39,11 +39,6 @@ class AggregateSpec:
     mean_members: float
     mean_size: float
 
-    @property
-    def defect_free(self) -> bool:
-        """True when the project has no defect; mean_members is then a filler 0."""
-        return self.n_defects == 0
-
 
 SAMPLE_AGGREGATES: tuple[AggregateSpec, ...] = (
     AggregateSpec("archiva", 508, 6, 4, 2.00, 108.85),

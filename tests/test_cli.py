@@ -203,6 +203,15 @@ class TestSimulateArguments:
         assert f"more than the {MAX_GRID_RECORDS}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_accuracies_rounded_together_are_data_error(self, matrix_path, tmp_path, capsys):
+        # the grid's accuracies are rounded to 10 places: a step of 6e-11 repeats one
+        out = tmp_path / "records.csv"
+        argv = ["simulate", "--matrix", matrix_path, "--seed", "1", "--reps", "1"]
+        bounds = ["--acc-min", "0.5", "--acc-max", "0.5000000002", "--acc-step", "6e-11"]
+        assert cli_dispatch(argv + bounds + ["--out", str(out)]) == 1
+        assert "accuracies must be strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_no_repetitions_is_data_error_before_the_grid_is_built(self, matrix_path, reps, capsys):
         # a repetition count below 1 once made the record count 0 or negative,

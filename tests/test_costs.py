@@ -115,6 +115,11 @@ class TestCostGeneral:
         )
         with pytest.raises(InputContractError, match="d2"):
             cost_general(project_e, outcome_e, broken)
+        broken = GeneralCostInputs(
+            qa_costs=inputs.qa_costs, losses=inputs.losses, qf_values={"d1": 0.5}
+        )
+        with pytest.raises(InputContractError, match="missing qf value for defect 'd2'"):
+            cost_general(project_e, outcome_e, broken)
 
     def test_hand_built_outcome_hits_come_from_predicted_artifacts(self, project_e, outcome_e):
         # s1 alone predicted: d1 is hit and d2 missed, whatever the id sets say

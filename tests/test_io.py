@@ -375,6 +375,9 @@ class TestParsePrediction:
         with pytest.raises(ParseError, match="file,label"):
             parse_prediction("path,label\ns1,1\n", project_e)
 
+    def test_project_without_artifacts(self):
+        assert parse_prediction("file,label\n", Project("p", (), ())).labels == {}
+
     @settings(max_examples=300)
     @given(labeled_projects(), st.data())
     def test_mutated_prediction_against_reference(self, case, data):
@@ -416,14 +419,12 @@ class TestSummarize:
         assert stats.n_defects == 2
         assert stats.mean_members == 1.5
         assert stats.mean_size == pytest.approx(160 / 3)
-        assert not stats.defect_free
         assert stats == AggregateSpec("E", 3, 2, 2, 1.5, 160 / 3)
 
     def test_empty_project(self):
         stats = summarize(parse_matrix("file,loc\n"))
         assert stats.n_artifacts == 0 and stats.n_defects == 0
         assert stats.mean_members == 0.0 and stats.mean_size == 0.0
-        assert stats.defect_free
 
     def test_synthetic_project_hits_target_aggregates(self):
         spec = next(s for s in SAMPLE_AGGREGATES if s.name == "falcon")

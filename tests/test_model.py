@@ -135,6 +135,7 @@ class TestClassify:
             {"s1": 1, "s2": 0},
             {"s2": 0},
             {"s1": 1, "s2": 0, "s3": 0, "s4": 1, "s0": 0},
+            {"s1": 1, "s2": 0, "zz": 0},
             {"s1": True, "s2": 1.0, "s3": np.int64(0)},
             {"s1": Fraction(1), "s2": np.bool_(False), "s3": np.float32(1)},
         ],
@@ -303,6 +304,10 @@ class TestInvariantEnforcement:
     def test_duplicate_artifact_ids_rejected(self):
         with pytest.raises(InputContractError, match="duplicate"):
             Project("p", (Artifact("a", 1), Artifact("a", 2)), ())
+
+    def test_duplicate_defect_ids_rejected(self):
+        with pytest.raises(InputContractError, match="duplicate defect id 'd' in project 'p'"):
+            Project("p", (Artifact("a", 1),), (Defect("d", {"a"}), Defect("d", {"a"})))
 
     def test_unknown_member_rejected(self):
         with pytest.raises(InputContractError, match="unknown"):

@@ -502,7 +502,7 @@ class TestRecordTableParse:
         assert emit_records(table) == emit_records(reference)
 
     def test_shuffled_grid_equals_the_per_row_parser(self, project_e, rng):
-        records = list(run_grid(project_e, GridConfig(accuracies=(0.7, 0.2, 0.7), repetitions=3)))
+        records = list(run_grid(project_e, GridConfig(accuracies=(0.2, 0.7), repetitions=3)))
         rng.shuffle(records)
         text = emit_records(records)
         assert parse_records(text) == reference_parse_records(text)

@@ -248,11 +248,17 @@ class TestRunGrid:
         assert len(records) == 19 * 100 * 2 * 6
 
     def test_canonical_order(self, project_e):
-        config = GridConfig(accuracies=(0.9, 0.1), repetitions=2, seed=8)
+        # accuracies out of order are refused, not sorted: cell seeds follow the
+        # accuracy index, so the records of an accepted grid come in grid order
+        for accuracies in ((0.9, 0.1), (0.5, 0.5), (0.0, -0.0)):
+            with pytest.raises(InputContractError) as refused:
+                GridConfig(accuracies=accuracies, repetitions=2, seed=8)
+            assert str(refused.value) == f"accuracies must be strictly ascending, got {accuracies}"
+        config = GridConfig(accuracies=(0.1, 0.9), repetitions=2, seed=8)
         records = run_grid(project_e, config)
         kind_order = {kind: i for i, kind in enumerate(ALL_KINDS)}
         keys = [(r.accuracy, r.repetition, r.p_qf, kind_order[r.kind]) for r in records]
-        assert keys == sorted(keys)
+        assert keys == sorted(keys) and len(set(keys)) == len(keys) == 2 * 2 * 2 * 6
 
     def test_prediction_shared_across_p_qf_and_kinds(self, project_e):
         config = GridConfig(accuracies=(0.4,), repetitions=2, seed=11)
@@ -396,11 +402,6 @@ class TestAgainstReferenceLoop:
             project = random_project(rng, max_artifacts=40, max_defects=10)
             assert_matches_reference(run_grid(project, config), reference_grid(project, config))
 
-    def test_unsorted_and_duplicate_accuracies(self, rng):
-        project = random_project(rng, max_artifacts=30, max_defects=8)
-        config = GridConfig(accuracies=(0.9, 0.3, 0.9, 0.0, 0.3, 1.0), repetitions=3, seed=5)
-        assert_matches_reference(run_grid(project, config), reference_grid(project, config))
-
     def test_subset_of_model_kinds(self, rng):
         project = random_project(rng, max_artifacts=30, max_defects=8)
         kinds = (ModelKind(QAMode.SIZE_AWARE, Relationship.ONE_TO_M), ALL_KINDS[0])
@@ -429,7 +430,7 @@ class TestAgainstReferenceLoop:
         # blocks of 1 and 3 cells: a block of 3 holds cells of different
         # accuracies, whose labels are thresholded together
         project = random_project(rng, max_artifacts=30, max_defects=8)
-        config = GridConfig(accuracies=(0.9, 0.3, 0.9, 0.0, 0.3, 1.0), repetitions=4, seed=12)
+        config = GridConfig(accuracies=(0.0, 0.3, 0.5, 0.7, 0.9, 1.0), repetitions=4, seed=12)
         expected = reference_grid(project, config)
         monkeypatch.setattr(simulation, "_BLOCK_CELLS", cells)
         assert_matches_reference(run_grid(project, config), expected)
@@ -463,7 +464,9 @@ def grid_cases(draw):
         tuple(Defect(f"d{j}", frozenset(f"f{i}" for i in g)) for j, g in enumerate(groups)),
     )
     config = GridConfig(
-        accuracies=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))),
+        accuracies=tuple(
+            sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True)))
+        ),
         repetitions=draw(st.integers(1, 4)),
         p_qf_values=tuple(
             draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
@@ -524,11 +527,8 @@ class TestDefectsHit:
     @settings(max_examples=40, deadline=None)
     @given(grid_cases())
     def test_grid_cases_match_public_route(self, case):
-        # single-member n-m projects take the gather on both paths; accuracies are
-        # made distinct, as assert_matches_public_route finds a cell by its accuracy
-        project, config = case
-        accuracies = tuple(dict.fromkeys(config.accuracies))
-        assert_matches_public_route(project, replace(config, accuracies=accuracies))
+        # single-member n-m projects take the gather on both paths
+        assert_matches_public_route(*case)
 
 
 @pytest.fixture(scope="module")
@@ -585,6 +585,8 @@ class TestRecordTable:
         config = GridConfig(accuracies=(0.5,), repetitions=1, seed=11)
         table = run_grid(project_e, config)
         records = list(table)
+        assert repr(table) == "<RecordTable of 12 records>"
+        assert (table == 5) is False
         assert table != records[:-1]
         records[0] = replace(records[0], lower=records[0].lower + 1.0)
         assert table != records
