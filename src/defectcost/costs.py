@@ -25,14 +25,14 @@ included: ``qa_cost_vector`` per artifact, ``model._defects_hit`` per defect,
 and the escape weight, a function of the defect's cardinality k, in
 ``_escape_sum`` over the distinct k.  One private kernel, ``_terms``, gives
 the initialized costs and the boundaries (``defectcost.boundaries``) all they
-read about an outcome: QA spent and unspent, and n_k defects and h_k
-predicted ones per k.  The 1-m and 1-1 views are n-m data with single-member
-defects from ``model.project_view``, for one prediction and the grid alike,
-so no formula on either path depends on the view.  ``boundaries._ends``
-turns QA spent and unspent and the escape weight prevented and lost into the
-lower end, the upper end and the cost-saving verdict, both for
-``boundary_interval`` and, as arrays over every grid cell, for
-``defectcost.simulation.run_grid``.
+read about an outcome: QA spent, QA unspent as the total minus spent (as the
+grid takes it per cell), and n_k defects and h_k predicted ones per k.  The
+1-m and 1-1 views are n-m data with single-member defects from
+``model.project_view``, for one prediction and the grid alike, so no formula
+on either path depends on the view.  ``boundaries._ends`` turns QA spent and
+unspent and the escape weight prevented and lost into the lower end, the
+upper end and the cost-saving verdict, both for ``boundary_interval`` and, as
+arrays over every grid cell, for ``defectcost.simulation.run_grid``.
 """
 
 from __future__ import annotations
@@ -242,13 +242,15 @@ def _masks(project: Project, outcome: OutcomeSummary) -> tuple[np.ndarray, np.nd
 def _terms(project: Project, outcome: OutcomeSummary, params: CostParams) -> tuple:
     """The kernel: QA spent, QA unspent and (k, n_k, h_k predicted defects of k).
 
-    QA costs are whole numbers (ones or sizes), so the QA sums are exact in
-    any order: a project's total size is at most 2^53."""
+    QA unspent is the total minus spent, as in ``run_grid``.  QA costs are whole numbers
+    (ones or sizes) and a total size is at most 2^53, so the QA sums are exact.  h_k is
+    an ``np.bincount``, cheaper for one outcome of a fresh project than a one-hot."""
     picked, hit = _masks(project, outcome)
     qa = qa_cost_vector(project, params.qa_mode)
     ks, counts, position = project._cardinality_table
     hits = np.bincount(position[hit], minlength=len(ks)).tolist()
-    return float(qa[picked].sum()), float(qa[~picked].sum()), (ks, counts, hits)
+    spent = float(qa[picked].sum())
+    return spent, float(qa.sum()) - spent, (ks, counts, hits)
 
 
 def cost_init(project: Project, outcome: OutcomeSummary, params: CostParams, kind: ModelKind) -> float:

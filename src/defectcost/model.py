@@ -335,7 +335,7 @@ def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
     file_ids = project._file_ids
     if len(labels) == len(file_ids):
         try:
-            return np.fromiter(map(labels.__getitem__, file_ids), np.int8, len(file_ids))
+            return np.fromiter(map(labels.__getitem__, file_ids), bool, len(file_ids))
         except KeyError:
             pass  # then some label names an unknown artifact
     extra = labels.keys() - project.artifact_index.keys()
@@ -361,14 +361,12 @@ def classify(project: Project, prediction: Prediction) -> OutcomeSummary:
     defective; otherwise it is missed.  The prediction must label exactly the
     project's artifacts.
     """
-    picked = _label_vector(project, prediction).astype(bool)
+    picked = _label_vector(project, prediction)
     truth = project.defective_mask
-    cm = ConfusionMatrix(
-        tp=int(np.count_nonzero(truth & picked)),
-        fp=int(np.count_nonzero(~truth & picked)),
-        tn=int(np.count_nonzero(~truth & ~picked)),
-        fn=int(np.count_nonzero(truth & ~picked)),
-    )
+    tp = int(np.count_nonzero(truth & picked))  # fp, tn, fn from totals, as run_grid counts
+    predicted = int(np.count_nonzero(picked))
+    fn = int(np.count_nonzero(truth)) - tp
+    cm = ConfusionMatrix(tp=tp, fp=predicted - tp, tn=len(picked) - predicted - fn, fn=fn)
     outcome = object.__new__(OutcomeSummary)
     outcome.__dict__.update(
         cm=cm, _project=project, _picked=picked, _hit=_defects_hit(project, picked)

@@ -402,9 +402,13 @@ def _points(records, metric: str, kind: ModelKind, bounds) -> dict:
     return points
 
 
+_MAX_BINS = 10_000  # far past the plot's 550-px width: every bin is allocated
+
+
 def _bins(metric_values, bound_values, n_bins: int) -> tuple:
     """(midpoint, mean, count) per equal-width metric bin; bin means are exact sums."""
-    n_bins = _number("n_bins", n_bins, "an integer >= 2", lambda n: n >= 2, integer=True)
+    requirement = f"an integer in [2, {_MAX_BINS}]"
+    n_bins = _number("n_bins", n_bins, requirement, lambda n: 2 <= n <= _MAX_BINS, integer=True)
     index = np.clip(metric_values * n_bins, 0, n_bins - 1).astype(np.intp)
     counts = np.bincount(index, minlength=n_bins)
     groups = np.split(bound_values[np.argsort(index, kind="stable")], np.cumsum(counts)[:-1])
@@ -415,7 +419,7 @@ def _bins(metric_values, bound_values, n_bins: int) -> tuple:
 
 
 def trend(records, metric: str, kind: ModelKind, bound: str, n_bins: int = 20) -> TrendSeries:
-    """Mean finite boundary value in ``n_bins`` (an integer >= 2) equal-width
+    """Mean finite boundary value in ``n_bins`` (an integer in [2, 10000]) equal-width
     metric bins over [0, 1].
 
     Cells with an undefined metric or an unbounded boundary are excluded and
@@ -446,7 +450,7 @@ def render_scatter(records, metric: str, kind: ModelKind, n_bins: int = 20) -> s
     """An SVG scatter of boundary values against a metric, with binned trend lines.
 
     Lower and upper boundaries are drawn in two colors; the polylines connect
-    the non-empty bin means of ``trend`` (``n_bins`` an integer >= 2).  Equal
+    the non-empty bin means of ``trend`` (``n_bins`` an integer in [2, 10000]).  Equal
     inputs produce byte-identical output."""
     points = _points(records, metric, kind, BOUNDS)
     if not any(len(bound_values) for _, bound_values, _ in points.values()):

@@ -316,9 +316,10 @@ class RecordTable(Sequence):
 def _cell_sums(project: Project, config: GridConfig, views: dict) -> tuple[np.ndarray, dict]:
     """Draw every cell's labeling and reduce it; cell ``a * repetitions + r``.
 
-    Returns the (cells, 2) QA spent per ``QAMode`` (``qa_cost_vector``) and, per view
-    of ``views``, the (cells, K) defects that ``_defects_hit`` finds predicted per
-    cardinality k of the view's ``_cardinality_table``, ``hit @ onehot(cardinality)``.
+    Returns the (cells, 2) QA spent per ``QAMode`` (``qa_cost_vector``) and, per view,
+    the (cells, K) defects that ``_defects_hit`` finds predicted per cardinality k of
+    its ``_cardinality_table``, ``hit @ onehot(cardinality)``: one product per block of
+    label rows, where one outcome (``costs._terms``) is cheaper by ``np.bincount``.
 
     Cells are drawn in blocks of label rows.  Only two steps read every file: the
     uniforms are thresholded in place into 0/1 "kept" flags, and one two-column product

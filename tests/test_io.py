@@ -126,6 +126,8 @@ class TestParseMatrix:
             ([str(2**62), str(2**62)], 2),  # their int64 sum would wrap to -2^63
             (["7", str(2**53 - 7), "1"], 4),
             ([str(2**53)] * 1100, 3),  # the int64 running total wraps further on
+            ([str(2**53), "9" * 20], 3),  # past int64: read as 2^63 - 1
+            ([str(2**53), str(2**63 - 1)], 3),  # the int64 running total would wrap negative
         ],
     )
     def test_total_size_above_2_53_located(self, sizes, line):

@@ -389,9 +389,18 @@ class TestTrend:
         midpoints = [m for m, _, _ in series.bins]
         assert midpoints == [round(0.05 + 0.1 * i, 2) for i in range(10)]
 
-    def test_n_bins_minimum(self):
-        with pytest.raises(InputContractError):
-            trend([record()], "precision", CONST_NM, "lower", n_bins=1)
+    @pytest.mark.parametrize("n_bins", [1, 10_001])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n_bins: trend([record()], "precision", CONST_NM, "lower", n_bins=n_bins),
+            lambda n_bins: render_scatter([record()], "precision", CONST_NM, n_bins=n_bins),
+        ],
+        ids=["trend", "render_scatter"],
+    )
+    def test_n_bins_minimum(self, draw, n_bins):
+        with pytest.raises(InputContractError, match=r"n_bins must be an integer in \[2, 10000\]"):
+            draw(n_bins)
 
     def test_unknown_metric(self):
         with pytest.raises(InputContractError):
