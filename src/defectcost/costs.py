@@ -21,7 +21,7 @@ probability ``p_qf``, so qf(d) = 1 - w(d) with the escape weight
 w(d) = (1 - p_qf)^|d|, the chance that QA on all of d's artifacts reveals d.
 
 Each term has one definition, read by every route, the simulation grid's
-included: ``qa_cost_vector`` per artifact, ``model._defects_hit`` per defect,
+included: ``qa_cost_vector`` per artifact, ``model._members_hit`` per defect,
 and the escape weight, a function of the defect's cardinality k, in
 ``_escape_sum`` over the distinct k.  One private kernel, ``_terms``, gives
 the initialized costs and the boundaries (``defectcost.boundaries``) all they

@@ -345,13 +345,19 @@ def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
     raise InputContractError(f"unlabeled artifact {missing!r}")
 
 
+def _members_hit(project: Project, member_labels: np.ndarray) -> np.ndarray:
+    """The one hit rule: per defect, are all its members marked in ``member_labels``,
+    what ``_defects_hit`` takes gathered at ``_member_csr[0]`` (dtype kept)?"""
+    indices, starts = project._member_csr
+    if len(indices) == len(starts) - 1:  # one member per defect, or no defect: its label
+        return member_labels
+    return np.minimum.reduceat(member_labels, starts[:-1], axis=-1)
+
+
 def _defects_hit(project: Project, predicted: np.ndarray) -> np.ndarray:
     """Per defect: are all its artifacts marked in ``predicted``, an artifact mask or
     stacked label rows (leading axes rows, last axis artifacts; dtype kept)?"""
-    indices, starts = project._member_csr
-    if len(indices) == len(starts) - 1:  # one member per defect, or no defect: its label
-        return predicted[..., indices]
-    return np.minimum.reduceat(predicted[..., indices], starts[:-1], axis=-1)
+    return _members_hit(project, predicted[..., project._member_csr[0]])
 
 
 def classify(project: Project, prediction: Prediction) -> OutcomeSummary:

@@ -35,12 +35,13 @@ contiguous run.
 
 Which terms read which files
 ----------------------------
-``run_grid`` reduces each labeling to QA spent under each QA mode and, per
-view of ``model.project_view``, the defects that ``model._defects_hit`` finds
-predicted per defect cardinality: counts, exact in any order and BLAS kernel,
-weighted afterwards as for ``boundary_interval``, which the bounds equal bit
-for bit.  Only the QA sums read every file; the hits read only the defects'
-members, the defective files, usually a small minority of a project.
+``run_grid`` reduces each labeling to QA spent under each QA mode, one product
+per mode over a contiguous row, and, per view of ``model.project_view``, the
+defects that ``model._members_hit`` finds predicted per defect cardinality:
+counts, exact in any order and BLAS kernel, weighted afterwards as for
+``boundary_interval``, which the bounds equal bit for bit.  Only the QA sums
+read every file; the hits read only the defects' members, usually a small
+minority of a project, by one gather per member array that the views share.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .costs import (
     ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, qa_cost_vector,
 )
 from .errors import InputContractError, _instance, _number, _shown
-from .model import ConfusionMatrix, Prediction, Project, Relationship, _defects_hit, _share
+from .model import ConfusionMatrix, Prediction, Project, Relationship, _members_hit, _share
 from .model import project_view
 
 _MASK64 = (1 << 64) - 1
@@ -317,29 +318,33 @@ def _cell_sums(project: Project, config: GridConfig, views: dict) -> tuple[np.nd
     """Draw every cell's labeling and reduce it; cell ``a * repetitions + r``.
 
     Returns the (cells, 2) QA spent per ``QAMode`` (``qa_cost_vector``) and, per view,
-    the (cells, K) defects that ``_defects_hit`` finds predicted per cardinality k of
+    the (cells, K) defects that ``_members_hit`` finds predicted per cardinality k of
     its ``_cardinality_table``, ``hit @ onehot(cardinality)``: one product per block of
     label rows, where one outcome (``costs._terms``) is cheaper by ``np.bincount``.
 
     Cells are drawn in blocks of label rows.  Only two steps read every file: the
-    uniforms are thresholded in place into 0/1 "kept" flags, and one two-column product
-    gives QA spent, ``clean totals + kept @ signed``, where ``signed`` is each file's QA
-    cost negated on the clean files (a clean file is predicted when flipped, a
-    defective one when kept).  The defect hits read only the defects' member files,
-    where kept is the label.  Every sum is an integer, exact in float64 in any order.
+    uniforms are thresholded in place into 0/1 "kept" flags, and one product per QA
+    mode gives QA spent, ``clean total + kept @ signed``, ``signed`` a contiguous row
+    of each file's QA cost negated on the clean files (a clean file is predicted when
+    flipped, a defective one when kept).  The hits gather kept, the label, once per
+    member array, for every view reading it.  Each sum is an integer, exact in any order.
     """
     n = len(project.sizes)
-    clean = ~project.defective_mask[:, None]
-    signed = np.empty((n, len(QAMode)))
-    for column, mode in enumerate(QAMode):
-        signed[:, column] = qa_cost_vector(project, mode)
-    clean_totals = signed.sum(axis=0, where=clean)
+    clean = ~project.defective_mask
+    signed = np.empty((len(QAMode), n))
+    for row, mode in zip(signed, QAMode):
+        row[:] = qa_cost_vector(project, mode)
+    clean_totals = signed.sum(axis=1, where=clean)
     np.negative(signed, out=signed, where=clean)
+    readers = {}  # id of a member array -> (the array, the views reading it, by rel)
+    for rel, view in views.items():
+        indices = view._member_csr[0]
+        readers.setdefault(id(indices), (indices, []))[1].append(rel)
     tables = {rel: view._cardinality_table for rel, view in views.items()}
     onehots = {rel: np.eye(len(ks))[position] for rel, (ks, _, position) in tables.items()}
     repetitions = config.repetitions
     n_cells = len(config.accuracies) * repetitions
-    spent = np.empty((n_cells, len(QAMode)))
+    spent = np.empty((len(QAMode), n_cells))
     hits = {rel: np.empty((n_cells, onehot.shape[1])) for rel, onehot in onehots.items()}
     block = max(1, min(_BLOCK_CELLS, _BLOCK_LABELS // max(n, 1)))
     uniforms = np.empty((block, n))
@@ -360,10 +365,14 @@ def _cell_sums(project: Project, config: GridConfig, views: dict) -> tuple[np.nd
             }
             generator.random(out=row)
         np.less(kept, accuracies[start:stop], out=kept)
-        np.add(kept @ signed, clean_totals, out=spent[start:stop])
-        for rel, view in views.items():
-            hits[rel][start:stop] = _defects_hit(view, kept) @ onehots[rel]
-    return spent, hits
+        for row, mode_spent in zip(signed, spent):
+            np.matmul(kept, row, out=mode_spent[start:stop])
+        for indices, rels in readers.values():
+            members = kept[:, indices]
+            for rel in rels:
+                hits[rel][start:stop] = _members_hit(views[rel], members) @ onehots[rel]
+    spent += clean_totals[:, None]
+    return spent.T, hits
 
 
 def run_grid(project: Project, config: GridConfig) -> RecordTable:

@@ -186,6 +186,11 @@ class TestProjectView:
         assert multisets[Relationship.N_TO_M] == multisets[Relationship.ONE_TO_M]
         assert multisets[Relationship.N_TO_M] == multisets[Relationship.ONE_TO_ONE]
 
+    def test_one_to_m_shares_the_member_array(self, project_e):
+        # the grid gathers each member array once for every view that reads it
+        view = project_view(project_e, Relationship.ONE_TO_M)
+        assert view._member_csr[0] is project_e._member_csr[0]
+
     def test_views_only_from_n_to_m(self, project_e):
         view = project_view(project_e, Relationship.ONE_TO_M)
         with pytest.raises(InputContractError):

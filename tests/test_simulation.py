@@ -38,7 +38,7 @@ from defectcost import (
     simulate_prediction,
 )
 from defectcost import simulation
-from defectcost.model import _defects_hit
+from defectcost.model import _defects_hit, _members_hit
 
 from .grid_reference import dense_cell_sums, reference_grid
 from .strategies import random_project
@@ -499,7 +499,8 @@ class TestKernelAgainstDense:
 
 class TestDefectsHit:
     """``_defects_hit`` on every view of a grid case: the all-members minimum of
-    ``np.minimum.reduceat``, or zero columns without defects; shape and dtype kept."""
+    ``np.minimum.reduceat``, or zero columns without defects; shape and dtype kept.
+    ``_members_hit`` on the gathered member labels gives the same."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -521,6 +522,26 @@ class TestDefectsHit:
         else:
             expected = np.zeros((*rows, 0), dtype=dtype)
         got = _defects_hit(view, predicted)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        grid_cases(),
+        st.sampled_from(list(Relationship)),
+        st.sampled_from([(bool, ()), (np.float64, (3,)), (np.int8, (2,))]),
+        st.data(),
+    )
+    def test_members_hit_of_the_gather(self, case, rel, layout, data):
+        # the grid's route: one gather of the member labels, then the hit rule
+        project, _ = case
+        view = project_view(project, rel)
+        dtype, rows = layout
+        predicted = data.draw(
+            arrays(dtype, (*rows, len(project.sizes)), elements=st.sampled_from([0, 1]))
+        )
+        expected = _defects_hit(view, predicted)
+        got = _members_hit(view, predicted[..., view._member_csr[0]])
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -548,8 +569,8 @@ class TestLargeProject:
         )
 
     def test_traced_peak_stays_flat(self, large_project):
-        # The kernel holds the signed QA columns (2 n-vectors) and one label row
-        # (1); the traced peak of run_grid was 3.34 n-length float64 vectors
+        # The kernel holds the signed QA rows (2 n-vectors) and one label row
+        # (1); the traced peak of run_grid is 3.61 n-length float64 vectors
         # (7.0 with the dense (n, 4) column matrix).
         bound = 4 * 8 * len(large_project.sizes)
         config = GridConfig(repetitions=1, seed=424242)
