@@ -55,7 +55,7 @@ class BoundKind(Enum):
     NEVER_PROFITABLE = "never"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryCondition:
     """The linear profit condition C * defect_coeff < qa_margin, solved for C.
 
@@ -83,7 +83,7 @@ class BoundaryCondition:
         return self.kind is BoundKind.ALWAYS_PROFITABLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryInterval:
     """The range of cost ratios for which a prediction beats both trivial baselines."""
 

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on data or domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from contextlib import nullcontext
@@ -49,7 +50,7 @@ def _load_view(args) -> tuple:
 def _cmd_aggregates(args) -> int:
     """Print the matrix's aggregates on the subcommand's own ``line``."""
     spec = summarize(_load_matrix(args.matrix))
-    print(args.line.format_map(vars(spec)))
+    print(args.line.format_map(dataclasses.asdict(spec)))
     return 0
 
 

@@ -56,7 +56,7 @@ class QAMode(Enum):
     SIZE_AWARE = "size"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelKind:
     """One of the six cost-model initializations: a QA mode plus an incidence view."""
 
@@ -98,7 +98,7 @@ _PARAM_RULES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostParams:
     """Scalar parameters of the initialized cost models.
 
@@ -125,7 +125,7 @@ class CostParams:
         _instance("qa_mode", self.qa_mode, QAMode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneralCostInputs:
     """Fully general per-artifact QA costs and per-defect losses and failure rates.
 

@@ -48,7 +48,7 @@ class Relationship(Enum):
     ONE_TO_ONE = "1-1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Artifact:
     """A unit of software (a file) with a size in lines of code: an integer >= 1,
     stored as ``int``."""
@@ -63,7 +63,7 @@ class Artifact:
         object.__setattr__(self, "size", size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Defect:
     """A post-release defect and the non-empty set of artifact ids it affects."""
 
@@ -265,7 +265,7 @@ class Prediction:
 _is_count = (0.0).__le__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfusionMatrix:
     """Artifact-level outcome counts of a prediction: integers >= 0, stored as ``int``."""
 

@@ -361,7 +361,7 @@ def parse_records(text: str) -> RecordTable:
     return reader.table()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrendSeries:
     """Mean boundary value per metric bin; excluded counts undefined/unbounded cells."""
 

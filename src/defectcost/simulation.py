@@ -192,14 +192,15 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     return Prediction._from_labels(dict(zip(project._file_ids, labels.tolist())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridConfig:
     """Sweep settings: accuracy grid, repetitions, failure probabilities, seed, kinds.
 
     Accuracies are strictly ascending numbers in [0, 1] and p_qf values numbers
-    in [0, 1), stored as floats; ``repetitions`` is an integer >= 1 and ``seed``
-    one in [0, 2^64).  Accuracies out of order are refused, not sorted: a cell's
-    seed follows its accuracy index, and the records follow the grid's order."""
+    in [0, 1), stored as floats (-0.0 as 0.0); ``repetitions`` is an integer >= 1
+    and ``seed`` one in [0, 2^64).  Accuracies out of order are refused, not
+    sorted: a cell's seed follows its accuracy index, and the records follow the
+    grid's order."""
 
     accuracies: tuple[float, ...] = DEFAULT_ACCURACIES
     repetitions: int = 100
@@ -218,23 +219,25 @@ class GridConfig:
         repetitions = _number(
             "repetitions", self.repetitions, "an integer >= 1", lambda r: r >= 1, integer=True
         )
-        p_qf_values = [
-            _number("p_qf_values", p, "numbers in [0, 1)", _is_failure_probability)
+        # + 0.0 turns -0.0 into 0.0, here and in the accuracies stored below:
+        # equal configs must write equal records
+        p_qf_values = {
+            float(_number("p_qf_values", p, "numbers in [0, 1)", _is_failure_probability)) + 0.0
             for p in _items("p_qf_values", self.p_qf_values, "numbers")
-        ]
+        }
         seed = _uint64("seed", self.seed)
         kinds = _items("model_kinds", self.model_kinds, "ModelKinds")
         for kind in kinds:
             _instance("model_kinds", kind, ModelKind)
         object.__setattr__(self, "repetitions", repetitions)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "accuracies", accuracies)
-        object.__setattr__(self, "p_qf_values", tuple(sorted(set(map(float, p_qf_values)))))
+        object.__setattr__(self, "accuracies", tuple(a + 0.0 for a in accuracies))
+        object.__setattr__(self, "p_qf_values", tuple(sorted(p_qf_values)))
         kinds = tuple(sorted(set(kinds), key=ALL_KINDS.index))
         object.__setattr__(self, "model_kinds", kinds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentRecord:
     """One grid cell: the simulated outcome, its metrics, and its cost boundaries."""
 

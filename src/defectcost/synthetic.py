@@ -26,7 +26,7 @@ from .errors import InputContractError, _number, _shown
 from .model import Project, Relationship, _check_total_size, _is_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateSpec:
     """A project's aggregates: what ``summarize`` measures of a project and what
     ``project_from_aggregates`` targets.  The three counts are integers >= 0 and

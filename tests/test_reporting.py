@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import xml.etree.ElementTree as ET
@@ -44,6 +45,11 @@ READERS = (
     lambda records: trend(records, "precision", CONST_NM, "lower"),
     lambda records: render_scatter(records, "precision", CONST_NM),
 )
+
+
+def field_values(r) -> dict:
+    """A dataclass instance's fields by name; ``vars`` needs a ``__dict__``."""
+    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
 
 
 def record(
@@ -186,7 +192,7 @@ class TestEmitRecords:
         class Counts(ConfusionMatrix):
             pass
 
-        fields = vars(record())
+        fields = field_values(record())
         for other in (
             Record(**fields),
             SimpleNamespace(**fields),
@@ -205,13 +211,15 @@ class TestEmitRecords:
             ("abc", "record 0 lacks a record field: 'str' object has no attribute 'project'"),
             ([None], "record 0 lacks a record field: 'NoneType' object has no attribute"),
             (
-                [record(), SimpleNamespace(**{**vars(record()), "lower": None}), object()],
+                [record(), SimpleNamespace(**{**field_values(record()), "lower": None}), object()],
                 "record 2 lacks a record field: 'object' object has no attribute 'project'",
             ),
             (
                 [
                     record(),
-                    SimpleNamespace(**{k: v for k, v in vars(record()).items() if k != "upper"}),
+                    SimpleNamespace(
+                        **{k: v for k, v in field_values(record()).items() if k != "upper"}
+                    ),
                 ],
                 "record 1 lacks a record field: .* has no attribute 'upper'",
             ),

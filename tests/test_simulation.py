@@ -260,6 +260,20 @@ class TestRunGrid:
         keys = [(r.accuracy, r.repetition, r.p_qf, kind_order[r.kind]) for r in records]
         assert keys == sorted(keys) and len(set(keys)) == len(keys) == 2 * 2 * 2 * 6
 
+    def test_negative_zero_is_stored_as_zero(self, project_e):
+        # -0.0 == 0.0, so each config equals its twin and must write the same bytes
+        for name, values, twin_values in (
+            ("accuracies", (-0.0, 0.5), (0.0, 0.5)),
+            ("p_qf_values", (-0.0, 0.0), (0.0,)),
+        ):
+            config = GridConfig(**{name: values}, repetitions=2, seed=8)
+            twin = GridConfig(**{name: twin_values}, repetitions=2, seed=8)
+            assert config == twin
+            stored = config.accuracies + config.p_qf_values
+            assert all(math.copysign(1.0, v) == 1.0 for v in stored)
+            written = emit_records(run_grid(project_e, config))
+            assert written == emit_records(run_grid(project_e, twin))
+
     def test_prediction_shared_across_p_qf_and_kinds(self, project_e):
         config = GridConfig(accuracies=(0.4,), repetitions=2, seed=11)
         records = run_grid(project_e, config)
