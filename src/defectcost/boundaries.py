@@ -22,11 +22,11 @@ models, in any view; cost saving is possible at all only when the interval
 is non-empty.  Unbounded boundaries (a zero escape weight predicted for the
 lower, missed for the upper) are represented as ``math.inf``.
 
-One private formula, ``_ends``, gives the lower end, the upper end and the
-cost-saving verdict to both ``boundary_interval`` (one outcome) and
-``defectcost.simulation.run_grid`` (every grid cell at once, as arrays), from
-the same bits of escape weight by ``_escaped``.  Its divisions go through
-``_threshold``, which also gives ``theorem_boundary`` its threshold.
+The condition is written once: ``_condition`` gives its coefficient and margin,
+element-wise, to ``theorem_boundary`` at its ``p_qa`` and to ``_ends`` at
+p_qa = 0 and 1.  ``_ends`` gives the lower end, the upper end and the verdict to
+``boundary_interval`` (one outcome) and ``defectcost.simulation.run_grid``
+(every grid cell at once, as arrays).  Divisions go through ``_threshold``.
 """
 
 from __future__ import annotations
@@ -107,26 +107,27 @@ def _threshold(coeff, margin):
         return np.divide(margin, coeff, out=out, where=coeff != 0)
 
 
-def _ends(spent, unspent, prevented, lost, c_init=0.0, c_exec=0.0):
-    """(lower, upper, cost_saving) element-wise: the p_qa = 0 and p_qa = 1 thresholds of
-    ``theorem_boundary``, with coefficients -prevented and lost; upper clamps to 0.
-    Cost saving is lower < upper: lower is never nan, and inf is below nothing."""
-    lower = _threshold(-prevented, -spent - c_init - c_exec)
-    upper = np.maximum(_threshold(lost, unspent - c_init - c_exec), 0.0)
+def _condition(p_qf, p_qa, spent, unspent, table, c_init, c_exec):
+    """(defect_coeff, qa_margin) of ``theorem_boundary`` element-wise, from QA spent and
+    unspent and the (k, n_k, h_k) table of ``costs._terms``."""
+    coeff = _escape_sum(p_qf, lambda k, w, n, h: w * (n * p_qa**k - h), *table)
+    return coeff, p_qa * (spent + unspent) - spent - c_init - c_exec
+
+
+def _ends(p_qf, spent, unspent, table, c_init=0.0, c_exec=0.0):
+    """(lower, upper, cost_saving) element-wise: ``_threshold`` of ``_condition`` at p_qa = 0
+    and 1, the corollaries' quotients bit for bit; upper clamps to 0.  Cost saving is
+    lower < upper: lower is never nan, and inf is below nothing."""
+    lower = _threshold(*_condition(p_qf, 0.0, spent, unspent, table, c_init, c_exec))
+    upper = _threshold(*_condition(p_qf, 1.0, spent, unspent, table, c_init, c_exec))
+    upper = np.maximum(upper, 0.0)
     return lower, upper, lower < upper
-
-
-def _escaped(p_qf, ks, counts, hits):
-    """Escape weight prevented and lost, the sums of h_k * w_k and (n_k - h_k) * w_k."""
-    prevented = _escape_sum(p_qf, lambda k, w, h: h * w, ks, hits)
-    return prevented, _escape_sum(p_qf, lambda k, w, n, h: (n - h) * w, ks, counts, hits)
 
 
 def _interval(project: Project, outcome: OutcomeSummary, params: CostParams) -> BoundaryInterval:
     """``_ends`` of one outcome."""
-    spent, unspent, table = _terms(project, outcome, params)
-    prevented, lost = _escaped(params.p_qf, *table)
-    lower, upper, possible = _ends(spent, unspent, prevented, lost, params.c_init, params.c_exec)
+    terms = _terms(project, outcome, params)
+    lower, upper, possible = _ends(params.p_qf, *terms, params.c_init, params.c_exec)
     return BoundaryInterval(float(lower), float(upper), bool(possible))
 
 
@@ -147,9 +148,8 @@ def theorem_boundary(
     sign of qa_margin.  ``p_qa`` is a number in [0, 1].
     """
     p_qa = _number("p_qa", p_qa, "a number in [0, 1]", _is_probability)
-    spent, unspent, (ks, counts, hits) = _terms(project, outcome, params)
-    coeff = _escape_sum(params.p_qf, lambda k, w, n, h: w * (n * p_qa**k - h), ks, counts, hits)
-    margin = p_qa * (spent + unspent) - spent - params.c_init - params.c_exec
+    terms = _terms(project, outcome, params)
+    coeff, margin = _condition(params.p_qf, p_qa, *terms, params.c_init, params.c_exec)
     if coeff > 0:
         kind = BoundKind.UPPER_BOUND
     elif coeff < 0:

@@ -29,10 +29,10 @@ read about an outcome: QA spent, QA unspent as the total minus spent (as the
 grid takes it per cell), and n_k defects and h_k predicted ones per k.  The
 1-m and 1-1 views are n-m data with single-member defects from
 ``model.project_view``, for one prediction and the grid alike, so no formula
-on either path depends on the view.  ``boundaries._ends`` turns QA spent and
-unspent and the escape weight prevented and lost into the lower end, the
-upper end and the cost-saving verdict, both for ``boundary_interval`` and, as
-arrays over every grid cell, for ``defectcost.simulation.run_grid``.
+on either path depends on the view.  ``boundaries._ends`` reads the profit
+condition that ``boundaries._condition`` states on these terms at p_qa = 0 and 1
+for the lower end, the upper end and the cost-saving verdict, of one outcome
+(``boundary_interval``) and of every grid cell (``defectcost.simulation.run_grid``).
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundaries import _ends, _escaped
+from .boundaries import _ends
 from .costs import (
     ALL_KINDS, ModelKind, QAMode, _is_failure_probability, _is_probability, qa_cost_vector,
 )
@@ -404,8 +404,8 @@ def run_grid(project: Project, config: GridConfig) -> RecordTable:
     # lower, upper and verdict (cells, settings): _ends of every cell, per setting
     lower, upper, saving = (np.empty((len(spent), len(settings)), t) for t in (float, float, bool))
     for s, (p_qf, kind) in enumerate(settings):
-        prevented, lost = _escaped(p_qf, *tables[kind.relationship])
-        lower[:, s], upper[:, s], saving[:, s] = _ends(*qa[kind.qa_mode], prevented, lost)
+        ends = _ends(p_qf, *qa[kind.qa_mode], tables[kind.relationship])
+        lower[:, s], upper[:, s], saving[:, s] = ends
     predicted = qa[QAMode.CONSTANT][0]  # one QA unit per predicted artifact
     tps = tp.astype(np.int64).tolist()
     fps = (predicted - tp).astype(np.int64).tolist()

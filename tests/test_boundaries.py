@@ -54,16 +54,12 @@ class TestTheoremBoundary:
     def test_p_qa_zero_reduces_to_lower_boundary(self, project_e, outcome_e):
         condition = theorem_boundary(project_e, outcome_e, 0.0, CONST)
         assert condition.kind is BoundKind.LOWER_BOUND
-        assert condition.threshold == pytest.approx(
-            lower_boundary(project_e, outcome_e, CONST), abs=1e-12
-        )
+        assert condition.threshold == lower_boundary(project_e, outcome_e, CONST)
 
     def test_p_qa_one_reduces_to_upper_boundary(self, project_e, outcome_e):
         condition = theorem_boundary(project_e, outcome_e, 1.0, CONST)
         assert condition.kind is BoundKind.UPPER_BOUND
-        assert condition.threshold == pytest.approx(
-            upper_boundary(project_e, outcome_e, CONST), abs=1e-12
-        )
+        assert condition.threshold == upper_boundary(project_e, outcome_e, CONST)
 
     def test_sign_analysis(self, rng):
         for _ in range(100):
@@ -94,6 +90,35 @@ class TestTheoremBoundary:
         assert condition.qa_margin > 0
         assert condition.kind is BoundKind.ALWAYS_PROFITABLE
         assert condition.allows(1e12)
+
+    @pytest.mark.parametrize(
+        "predicted, p_qa, margin, kind",
+        [
+            # nothing predicted, no QA: no QA spent on either side, a margin of exactly 0
+            ((), 0.0, 0.0, BoundKind.NEVER_PROFITABLE),
+            # the defect's file and a clean one, QA on all: one QA unit saved
+            (("a", "b"), 1.0, 1.0, BoundKind.ALWAYS_PROFITABLE),
+        ],
+        ids=["none-at-0", "two-at-1"],
+    )
+    def test_zero_coeff_verdict_at_small_margins(self, predicted, p_qa, margin, kind):
+        project = Project(
+            "p", tuple(Artifact(f, 1) for f in "abc"), (Defect("d", frozenset({"a"})),)
+        )
+        outcome = classify(project, Prediction({f: int(f in predicted) for f in "abc"}))
+        condition = theorem_boundary(project, outcome, p_qa, CONST)
+        assert (condition.defect_coeff, condition.qa_margin) == (0.0, margin)
+        assert condition.kind is kind
+
+    def test_corollaries_are_the_theorem_at_p_qa_zero_and_one(self, rng):
+        """Bit for bit, on all six kinds, both QA modes and non-zero overheads."""
+        for view, outcome, params, kind in priced_cases(rng, 300):
+            lower = theorem_boundary(view, outcome, 0.0, params).threshold
+            upper = max(theorem_boundary(view, outcome, 1.0, params).threshold, 0.0)
+            assert lower_boundary(view, outcome, params) == lower
+            assert upper_boundary(view, outcome, params) == upper
+            interval = boundary_interval(view, outcome, params, kind)
+            assert (interval.lower, interval.upper) == (lower, upper)
 
     def test_profit_sign_oracle(self, rng):
         """The condition must agree with an explicit profit computation."""
