@@ -27,9 +27,13 @@ one joined ``isdigit`` and converted in one call, and the ids for
 duplicates by the size of their set.  Only a file that fails these checks
 is read again row by row, which gives its first error with the message,
 line and column a cell-by-cell reader would give.
-``parse_prediction`` likewise builds its labels from all rows at once,
-checks them with set operations, and reads the rows one at a time only to
-locate an error.
+``parse_prediction`` first compares the text with the table of the
+project's files in their own order, every label ``0``, once its ``,1``
+labels read ``,0``; a text equal to it gives its label mask straight from
+its bytes, with no dict.  Any other text has its labels built from all rows
+at once into a dict, which also gives the mask in file order, and its rows
+are read one at a time only to locate an error.  Both parsers check that
+their text is a ``str``.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import InputContractError, ParseError, _id
-from .model import _MAX_TOTAL_SIZE, Prediction, Project, Relationship
+from .errors import InputContractError, ParseError, _id, _instance
+from .model import _MAX_TOTAL_SIZE, Prediction, Project, Relationship, _labeled
 from .synthetic import AggregateSpec
 
 _UNWRITABLE = frozenset(",\n\r")  # the field and line separators
@@ -90,7 +94,8 @@ def parse_matrix(text: str, project_id: str = "project") -> Project:
     Rejects duplicate file ids, non-binary cells, sizes that are not ASCII
     ``[1-9][0-9]*``, a size that takes the total size above 2^53, ragged rows,
     and defect columns that touch no file; every rejection names the line and
-    column.  ``project_id`` must be a ``str``."""
+    column.  ``text`` and ``project_id`` must be ``str``."""
+    _instance("text", text, str)
     _id("project", project_id)
     lines = _split_lines(text)
     if not lines:
@@ -240,23 +245,35 @@ def format_matrix(project: Project) -> str:
 
 def parse_prediction(text: str, project: Project) -> Prediction:
     """Parse a ``file,label`` table into a total labeling of the project."""
+    _instance("text", text, str)
+    _instance("project", project, Project)
+    file_ids = project._file_ids
+    n = len(file_ids)
+    # the rows in file order, every label read as 0; with no "," or "\n" in an
+    # id, a text equal to it once its ",1\n" read ",0\n" is that table
+    template = "file,label\n" + ",0\n".join(file_ids) + ",0\n"
+    if text.replace(",1\n", ",0\n") == template and (
+        template.count(",") == template.count("\n") == n + 1
+    ):
+        # UTF-8 writes "," only as itself: each label is the byte after a row's comma
+        data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+        return Prediction._from_mask(file_ids, data[np.flatnonzero(data == 44)[1:] + 1] == 49)
     lines = _split_lines(text)
     if not lines or lines[0].split(",") != ["file", "label"]:
         raise ParseError("header must be 'file,label'", line=1, column=1)
     rows = lines[1:]
-    file_ids = project._file_ids
     # every row ends in "\n" here, so if there are two fields per row and
     # every second one is a label and "\n", no row holds more or fewer fields
     fields = ("\n,".join(rows) + "\n").split(",")
     texts = fields[1::2]
-    labels = None
-    if len(fields) == 2 * len(rows) == 2 * len(file_ids) and _ENDED_LABELS.keys() >= set(texts):
+    if len(fields) == 2 * len(rows) == 2 * n and _ENDED_LABELS.keys() >= set(texts):
         labels = dict(zip(fields[::2], map(_ENDED_LABELS.__getitem__, texts)))
-        if len(labels) < len(rows) or not all(map(labels.__contains__, file_ids)):
-            labels = None  # an id twice, or an unknown one
-    if labels is None:
-        labels = _labels_by_row(rows, project)
-    return Prediction._from_labels(labels)
+        try:  # n rows that label all n files, so no id twice
+            return Prediction._from_mask(file_ids, _labeled(labels, file_ids), labels)
+        except KeyError:
+            pass  # an id twice, or an unknown one
+    labels = _labels_by_row(rows, project)
+    return Prediction._from_mask(file_ids, _labeled(labels, file_ids), labels)
 
 
 def _labels_by_row(rows: list[str], project: Project) -> dict[str, int]:

@@ -19,8 +19,12 @@ Likewise ``classify`` returns an ``OutcomeSummary`` that holds the
 predicted-artifact and defect-hit masks and builds its three id sets on first
 access.
 
-Each public value type checks its values in its one constructor;
-``Prediction._from_labels``, for labels already checked, is the only trusted path.
+Each public value type checks its values in its one constructor.  Every
+prediction the library builds comes from ``Prediction._from_mask``, the only
+trusted path: it holds the project's file-id tuple and a read-only bool mask
+in file order and builds its ``labels`` dict when first read.  ``classify``
+reads that mask itself when the prediction holds the very file-id tuple of
+the project it classifies, which every view of that project shares.
 """
 
 from __future__ import annotations
@@ -236,10 +240,12 @@ class Prediction:
     """A total binary labeling of artifacts: 1 = predicted defective, 0 = clean.
 
     ``Prediction(...)`` copies its labels and checks each by ``_label``;
-    library code whose labels are already checked builds one with
-    ``Prediction._from_labels``."""
+    library code builds one from a label mask with ``Prediction._from_mask``.
+    Pickles and copies hold the labels alone, as those of ``Prediction(labels)``."""
 
     labels: Mapping[str, int]
+
+    _file_ids = None  # not a field: set only by _from_mask, with _mask
 
     def __post_init__(self):
         if not isinstance(self.labels, Mapping):
@@ -253,12 +259,28 @@ class Prediction:
         object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def _from_labels(cls, labels: dict) -> Prediction:
-        """A prediction holding ``labels`` itself; the caller guarantees a dict
-        whose labels are all 0 or 1."""
+    def _from_mask(
+        cls, file_ids: tuple, mask: np.ndarray, labels: dict | None = None
+    ) -> Prediction:
+        """A prediction labeling ``file_ids`` by the bool ``mask``, in file order, made
+        read-only; ``labels``, if given, is the equal dict the caller already holds."""
+        mask.flags.writeable = False
         prediction = object.__new__(cls)
-        prediction.__dict__["labels"] = labels
+        prediction.__dict__.update(_file_ids=file_ids, _mask=mask)
+        if labels is not None:
+            prediction.__dict__["labels"] = labels
         return prediction
+
+    def __getattr__(self, name):
+        """Build ``labels`` from the mask on first access: int 0 or 1 in file order."""
+        if name != "labels" or self._file_ids is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = dict(zip(self._file_ids, self._mask.view(np.int8).tolist()))
+        self.__dict__[name] = value
+        return value
+
+    def __getstate__(self):
+        return {"labels": self.labels}
 
 
 # The one "value >= 0" test, of a Python int or float; nan fails it.
@@ -330,12 +352,19 @@ class OutcomeSummary:
         return value
 
 
+def _labeled(labels: Mapping[str, int], file_ids: tuple) -> np.ndarray:
+    """The bool mask of ``labels`` in file order; ``KeyError`` on a file it does not label."""
+    return np.fromiter(map(labels.__getitem__, file_ids), bool, len(file_ids))
+
+
 def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
+    if getattr(prediction, "_file_ids", None) is project._file_ids:  # views share the tuple
+        return prediction._mask
     labels = prediction.labels
     file_ids = project._file_ids
     if len(labels) == len(file_ids):
         try:
-            return np.fromiter(map(labels.__getitem__, file_ids), bool, len(file_ids))
+            return _labeled(labels, file_ids)
         except KeyError:
             pass  # then some label names an unknown artifact
     extra = labels.keys() - project.artifact_index.keys()
@@ -436,10 +465,10 @@ def recall(cm: ConfusionMatrix) -> float | None:
 
 def perfect_prediction(project: Project) -> Prediction:
     """The indicator labeling of the defective artifacts."""
-    mask = project.defective_mask
-    return Prediction._from_labels(dict(zip(project._file_ids, mask.astype(np.int8).tolist())))
+    return Prediction._from_mask(project._file_ids, project.defective_mask)
 
 
 def constant_prediction(project: Project, label: int) -> Prediction:
     """Label every artifact with the same value (predict nothing or everything)."""
-    return Prediction._from_labels(dict.fromkeys(project._file_ids, _label("label", label)))
+    file_ids = project._file_ids
+    return Prediction._from_mask(file_ids, np.full(len(file_ids), _label("label", label), bool))

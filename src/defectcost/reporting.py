@@ -353,8 +353,9 @@ def parse_records(text: str) -> RecordTable:
     ``e``, ``+`` and ``-`` that ``repr`` uses, and an unbounded boundary
     other than the text ``inf`` (such as ``1e999``, which overflows a
     float).  ``ParseError.line`` is the line in the text, counting blank
-    lines.
+    lines.  ``text`` must be a ``str``.
     """
+    _instance("text", text, str)
     reader = _TableReader()
     for numbers, lines in _csv_chunks(text):
         reader.add(numbers, lines)

@@ -188,8 +188,7 @@ def simulate_prediction(project: Project, accuracy: float, cell_seed: int) -> Pr
     cell_seed = _uint64("cell_seed", cell_seed)
     truth = project.defective_mask
     uniforms = np.random.Generator(np.random.PCG64(cell_seed)).random(len(truth))
-    labels = ((uniforms < accuracy) == truth).astype(np.int8)
-    return Prediction._from_labels(dict(zip(project._file_ids, labels.tolist())))
+    return Prediction._from_mask(project._file_ids, (uniforms < accuracy) == truth)
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,8 @@ never touched, and mutates the copy's ``src/`` one site at a time with stdlib ``
 * add 1 to a constant 0 or 1 (an int or a float, never a bool).
 
 The scope is ``SCOPE``: the functions that compute the costs, the hits, the views and
-the boundaries, on the single-prediction path and in the simulation grid.  Each mutant
+the boundaries, on the single-prediction path and in the simulation grid, and those
+that read or draw the predictions they price.  Each mutant
 is the whole module written back by ``ast.unparse``; a control run of the unmutated
 ``ast.unparse`` form of every module in scope must pass first.  Each mutant then runs
 the tier-1 suite with ``-x``, its module's own test file first.  A mutant the suite
@@ -48,8 +49,15 @@ SCOPE = {
             "induced_inputs", "qa_cost_vector",
         ),
     ),
-    "model": ("tests/test_model.py", ("_members_hit", "classify", "project_view", "_share")),
-    "simulation": ("tests/test_simulation.py", ("_cell_sums", "run_grid")),
+    "io": ("tests/test_io.py", ("parse_prediction", "_labels_by_row")),
+    "model": (
+        "tests/test_model.py",
+        (
+            "_label_vector", "_members_hit", "classify", "project_view", "_share",
+            "perfect_prediction", "constant_prediction",
+        ),
+    ),
+    "simulation": ("tests/test_simulation.py", ("_cell_sums", "run_grid", "simulate_prediction")),
 }
 
 # (module, function, source before, source after) -> why no output can change

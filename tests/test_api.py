@@ -35,6 +35,9 @@ from defectcost import (
     cost_random,
     format_matrix,
     induced_inputs,
+    parse_matrix,
+    parse_prediction,
+    parse_records,
     project_from_aggregates,
     render_scatter,
     run_grid,
@@ -338,6 +341,28 @@ def test_numpy_labels_are_stored_as_int(call, label, project_e):
     assert stored == label and type(stored) is int
 
 
+# The text parsers, each given a text and project_e.
+TEXT_PARSERS = {
+    "parse_matrix": lambda text, project: parse_matrix(text),
+    "parse_prediction": parse_prediction,
+    "parse_records": lambda text, project: parse_records(text),
+}
+WRONG_TYPES = {"int": 5, "None": None, "bytes": b"file,loc\n", "huge": HUGE, "object": object()}
+
+
+@pytest.mark.parametrize("value", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+@pytest.mark.parametrize("parser", TEXT_PARSERS)
+def test_text_parsers_take_only_a_str(parser, value, project_e):
+    with pytest.raises(InputContractError, match="^text must be a str, got "):
+        TEXT_PARSERS[parser](value, project_e)
+
+
+@pytest.mark.parametrize("value", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_parse_prediction_takes_only_a_project(value):
+    with pytest.raises(InputContractError, match="^project must be a Project, got "):
+        parse_prediction("file,label\n", value)
+
+
 # Public dataclasses that a computation returns rather than takes: their
 # numbers are results, so they are not checked.
 RESULT_TYPES = ("BoundaryCondition", "BoundaryInterval", "ExperimentRecord", "TrendSeries")
@@ -362,7 +387,7 @@ def test_every_number_field_of_a_public_input_type_is_a_number_site():
 
 
 # Public dataclasses without slots: they fill their __dict__ lazily with
-# cached state (cached_property, Project.__getattr__, Prediction._from_labels,
+# cached state (cached_property, Project.__getattr__, Prediction.__getattr__,
 # classify).  Every other public dataclass is a slotted value object.
 LAZY_TYPES = ("OutcomeSummary", "Prediction", "Project")
 VALUE_TYPES = tuple(

@@ -384,11 +384,23 @@ class TestParsePrediction:
     @given(labeled_projects(), st.data())
     def test_mutated_prediction_against_reference(self, case, data):
         project, prediction = case
-        rows = "".join(f"{a.id},{prediction.labels[a.id]}\n" for a in project.artifacts)
-        text = data.draw(mutated("file,label\n" + rows))
-        assert outcome(parse_prediction, text, project) == outcome(
-            matrix_reference.parse_prediction, text, project
-        )
+        if data.draw(st.booleans()):  # ids that are not ASCII, " " or "a\x85b"
+            project = data.draw(renamed_projects())
+            n = len(project.artifacts)
+            labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            prediction = Prediction(dict(zip(project._file_ids, labels)))
+        rows = [f"{a.id},{prediction.labels[a.id]}\n" for a in project.artifacts]
+        in_order = parse_prediction("file,label\n" + "".join(rows), project)
+        assert "labels" not in vars(in_order)  # read by the layout path
+        assert in_order == prediction
+        if data.draw(st.booleans()):
+            rows = data.draw(st.permutations(rows))
+        text = data.draw(mutated("file,label\n" + "".join(rows)))
+        result = outcome(parse_prediction, text, project)
+        expected = outcome(matrix_reference.parse_prediction, text, project)
+        assert result == expected
+        if isinstance(result, Prediction):  # the same labels, in the same order
+            assert list(result.labels.items()) == list(expected.labels.items())
 
     @pytest.mark.parametrize(
         "rows, error",
@@ -411,6 +423,58 @@ class TestParsePrediction:
         else:
             message, line, column = error
             assert message in result[0] and result[1:] == (line, column)
+
+
+# Pinned prediction texts: the project's file ids, the text, and the labels or the
+# message, line and column of the ParseError that parse_prediction gives.
+PINNED_PREDICTIONS = {
+    "lone surrogate": (("a\ud800", "b"), "file,label\na\ud800,1\nb,0\n", {"a\ud800": 1, "b": 0}),
+    "comma in an id": (
+        ("a,b", "c"), "file,label\na,b,1\nc,0\n", ("expected 2 fields, found 3", 2, 3)
+    ),
+    "line break in an id": (
+        ("a\nb", "c"), "file,label\na\nb,1\nc,0\n", ("expected 2 fields, found 1", 2, 1)
+    ),
+    # the text equals the template of the id "x,0\ny": as many line breaks,
+    # one comma too many
+    "template of an id": (("x,0\ny",), "file,label\nx,0\ny,0\n", ("unknown artifact 'x'", 2, 1)),
+    "CRLF": (("s1", "s2"), "file,label\r\ns1,1\r\ns2,0\r\n", {"s1": 1, "s2": 0}),
+    "trailing blank line": (("s1", "s2"), "file,label\ns1,1\ns2,0\n\n", {"s1": 1, "s2": 0}),
+    "no final line break": (("s1", "s2"), "file,label\ns1,0\ns2,1", {"s1": 0, "s2": 1}),
+    "another header": (("s1",), "path,label\ns1,1\n", ("header must be 'file,label'", 1, 1)),
+    "no text": (("s1",), "", ("header must be 'file,label'", 1, 1)),
+    "no files": ((), "file,label\n", {}),
+    "no files, a row": ((), "file,label\n,0\n", ("unknown artifact ''", 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_PREDICTIONS.values(), ids=PINNED_PREDICTIONS.keys())
+def test_pinned_prediction(case):
+    file_ids, text, expected = case
+    project = Project("p", tuple(Artifact(i, 1) for i in file_ids), ())
+    result = outcome(parse_prediction, text, project)
+    assert result == outcome(matrix_reference.parse_prediction, text, project)
+    if isinstance(expected, dict):
+        assert list(result.labels.items()) == list(expected.items())
+        assert result._mask.tolist() == [bool(expected[i]) for i in file_ids]
+    else:
+        message, line, column = expected
+        assert message in result[0] and result[1:] == (line, column)
+
+
+def test_lone_surrogate_id_takes_the_layout_path():
+    project = Project("p", (Artifact("a\ud800", 1), Artifact("é", 2)), ())
+    result = parse_prediction("file,label\na\ud800,1\né,0\n", project)
+    assert "labels" not in vars(result) and result._mask.tolist() == [True, False]
+    assert list(result.labels.items()) == [("a\ud800", 1), ("é", 0)]
+
+
+def test_rows_in_another_order_are_read_at_once(project_e, monkeypatch):
+    """Valid rows in any order are read without the row-by-row reader."""
+    monkeypatch.setattr(defectcost.io, "_labels_by_row", None)
+    result = parse_prediction("file,label\ns3,0\ns1,1\ns2,0\n", project_e)
+    assert list(result.labels.items()) == [("s3", 0), ("s1", 1), ("s2", 0)]
+    assert result._mask.tolist() == [True, False, False]
 
 
 class TestSummarize:

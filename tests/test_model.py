@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -390,6 +393,96 @@ class TestCheckedLabels:
         labels["a"] = 0
         labels["c"] = 2
         assert prediction.labels == {"a": 1, "b": 0}
+
+
+def _rows(labels: dict) -> str:
+    return "file,label\n" + "".join(f"{i},{v}\n" for i, v in labels.items())
+
+
+# One prediction from each constructor, built fresh for every check: the name,
+# then a function of the project.
+PREDICTIONS = {
+    "parse_prediction in order": lambda p: parse_prediction(
+        _rows(simulate_prediction(p, 0.6, 3).labels), p
+    ),
+    "parse_prediction shuffled": lambda p: parse_prediction(
+        _rows(dict(reversed(simulate_prediction(p, 0.6, 3).labels.items()))), p
+    ),
+    "simulate_prediction": lambda p: simulate_prediction(p, 0.6, 3),
+    "perfect_prediction": perfect_prediction,
+    "constant_prediction": lambda p: constant_prediction(p, 1),
+    "Prediction": lambda p: Prediction(simulate_prediction(p, 0.6, 3).labels),
+}
+
+
+class TestMaskedPredictions:
+    """A prediction held as a mask over the project's files acts as ``Prediction(labels)``."""
+
+    @pytest.fixture
+    def project(self):
+        return random_project(np.random.default_rng(8), max_artifacts=40, name="rt")
+
+    @pytest.mark.parametrize("build", PREDICTIONS.values(), ids=PREDICTIONS.keys())
+    def test_equals_the_checked_prediction(self, build, project):
+        prediction = build(project)
+        twin = Prediction(prediction.labels)
+        assert prediction == twin and twin == prediction
+        assert repr(prediction) == repr(twin)
+        assert list(prediction.labels.items()) == list(twin.labels.items())
+        assert all(type(label) is int for label in prediction.labels.values())
+        with pytest.raises(TypeError):
+            hash(prediction)
+
+    @pytest.mark.parametrize("build", PREDICTIONS.values(), ids=PREDICTIONS.keys())
+    def test_pickles_and_copies_hold_the_labels_alone(self, build, project):
+        pickled = pickle.dumps(build(project))
+        assert pickled == pickle.dumps(Prediction(build(project).labels))
+        for twin in (
+            pickle.loads(pickled),
+            copy.copy(build(project)),
+            copy.deepcopy(build(project)),
+            dataclasses.replace(build(project)),
+        ):
+            assert type(twin) is Prediction and twin == build(project)
+            assert vars(twin).keys() == {"labels"}
+
+    @pytest.mark.parametrize("build", PREDICTIONS.values(), ids=PREDICTIONS.keys())
+    def test_the_mask_is_read_only(self, build, project):
+        prediction = build(project)
+        if prediction._file_ids is None:  # Prediction(...) holds no mask
+            assert "_mask" not in vars(prediction)
+            return
+        assert prediction._file_ids is project._file_ids
+        assert not prediction._mask.flags.writeable
+        with pytest.raises(ValueError):
+            prediction._mask[0] = not prediction._mask[0]
+
+    @pytest.mark.parametrize("build", PREDICTIONS.values(), ids=PREDICTIONS.keys())
+    def test_equal_file_ids_classify_through_the_labels(self, build, project):
+        """A project whose file-id tuple is equal, not the same, reads the labels dict."""
+        twin = Project._from_arrays(
+            project.id,
+            project.relationship,
+            tuple(list(project._file_ids)),
+            project.sizes,
+            *project._member_csr,
+            _defect_ids=project._defect_ids,
+        )
+        assert twin._file_ids == project._file_ids and twin._file_ids is not project._file_ids
+        expected = classify(project, build(project))
+        prediction = build(project)
+        outcome = classify(twin, prediction)
+        assert "labels" in vars(prediction)
+        for name in ("cm", "predicted_defects", "missed_defects", "predicted_artifacts"):
+            assert getattr(outcome, name) == getattr(expected, name)
+
+    @pytest.mark.parametrize("target", Relationship)
+    def test_classify_reads_the_mask_on_any_view(self, target, project):
+        prediction = simulate_prediction(project, 0.6, 3)
+        view = project_view(project, target)
+        outcome = classify(view, prediction)
+        assert "labels" not in vars(prediction) and outcome._picked is prediction._mask
+        assert outcome == classify(view, Prediction(prediction.labels))
 
 
 def same_project(built, reference):

@@ -119,6 +119,16 @@ class TestSimulatePrediction:
         prediction = simulate_prediction(project_e, 0.0, cell_seed(1, 0, 0))
         assert prediction.labels == {"s1": 0, "s2": 0, "s3": 1}
 
+    def test_a_uniform_equal_to_the_accuracy_flips_its_file(self, project_e):
+        """A file keeps its true label only where its uniform is below the accuracy."""
+        seed = cell_seed(1, 0, 0)
+        uniforms = np.random.Generator(np.random.PCG64(seed)).random(3)
+        for accuracy in uniforms.tolist():
+            prediction = simulate_prediction(project_e, accuracy, seed)
+            kept = uniforms < accuracy
+            assert prediction._mask.tolist() == (kept == project_e.defective_mask).tolist()
+            assert kept.sum() < 3
+
     def test_golden_labels(self):
         prediction = simulate_prediction(small_project(), 0.7, cell_seed(42, 3, 17))
         assert [prediction.labels[f"f{i}"] for i in range(12)] == [
