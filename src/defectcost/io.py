@@ -30,10 +30,10 @@ line and column a cell-by-cell reader would give.
 ``parse_prediction`` first compares the text with the table of the
 project's files in their own order, every label ``0``, once its ``,1``
 labels read ``,0``; a text equal to it gives its label mask straight from
-its bytes, with no dict.  Any other text has its labels built from all rows
-at once into a dict, which also gives the mask in file order, and its rows
-are read one at a time only to locate an error.  Both parsers check that
-their text is a ``str``.
+its bytes, with no dict.  Any other text is read one row at a time, which
+builds its labels in row order and gives its first error with its line and
+column; its mask in file order is then read from those labels.  Both
+parsers check that their text is a ``str``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .synthetic import AggregateSpec
 
 _UNWRITABLE = frozenset(",\n\r")  # the field and line separators
 _LABELS = {"0": 0, "1": 1}
-_ENDED_LABELS = {"0\n": 0, "1\n": 1}
 # Characters of matrix cells split and compared at once.  A block's joined
 # cells, their 1->0 copy and its template then stay in cache and on the
 # malloc heap; blocks of 2^16 parsed the corpus about 4 % slower, and blocks
@@ -248,12 +247,11 @@ def parse_prediction(text: str, project: Project) -> Prediction:
     _instance("text", text, str)
     _instance("project", project, Project)
     file_ids = project._file_ids
-    n = len(file_ids)
     # the rows in file order, every label read as 0; with no "," or "\n" in an
     # id, a text equal to it once its ",1\n" read ",0\n" is that table
     template = "file,label\n" + ",0\n".join(file_ids) + ",0\n"
     if text.replace(",1\n", ",0\n") == template and (
-        template.count(",") == template.count("\n") == n + 1
+        template.count(",") == template.count("\n") == len(file_ids) + 1
     ):
         # UTF-8 writes "," only as itself: each label is the byte after a row's comma
         data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
@@ -261,18 +259,7 @@ def parse_prediction(text: str, project: Project) -> Prediction:
     lines = _split_lines(text)
     if not lines or lines[0].split(",") != ["file", "label"]:
         raise ParseError("header must be 'file,label'", line=1, column=1)
-    rows = lines[1:]
-    # every row ends in "\n" here, so if there are two fields per row and
-    # every second one is a label and "\n", no row holds more or fewer fields
-    fields = ("\n,".join(rows) + "\n").split(",")
-    texts = fields[1::2]
-    if len(fields) == 2 * len(rows) == 2 * n and _ENDED_LABELS.keys() >= set(texts):
-        labels = dict(zip(fields[::2], map(_ENDED_LABELS.__getitem__, texts)))
-        try:  # n rows that label all n files, so no id twice
-            return Prediction._from_mask(file_ids, _labeled(labels, file_ids), labels)
-        except KeyError:
-            pass  # an id twice, or an unknown one
-    labels = _labels_by_row(rows, project)
+    labels = _labels_by_row(lines[1:], project)
     return Prediction._from_mask(file_ids, _labeled(labels, file_ids), labels)
 
 

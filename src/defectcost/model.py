@@ -358,7 +358,7 @@ def _labeled(labels: Mapping[str, int], file_ids: tuple) -> np.ndarray:
 
 
 def _label_vector(project: Project, prediction: Prediction) -> np.ndarray:
-    if getattr(prediction, "_file_ids", None) is project._file_ids:  # views share the tuple
+    if prediction._file_ids is project._file_ids:  # views share the tuple
         return prediction._mask
     labels = prediction.labels
     file_ids = project._file_ids
@@ -396,6 +396,8 @@ def classify(project: Project, prediction: Prediction) -> OutcomeSummary:
     defective; otherwise it is missed.  The prediction must label exactly the
     project's artifacts.
     """
+    _instance("project", project, Project)
+    _instance("prediction", prediction, Prediction)
     picked = _label_vector(project, prediction)
     truth = project.defective_mask
     tp = int(np.count_nonzero(truth & picked))  # fp, tn, fn from totals, as run_grid counts

@@ -9,15 +9,16 @@ never touched, and mutates the copy's ``src/`` one site at a time with stdlib ``
 * add 1 to a constant 0 or 1 (an int or a float, never a bool).
 
 The scope is ``SCOPE``: the functions that compute the costs, the hits, the views and
-the boundaries, on the single-prediction path and in the simulation grid, and those
-that read or draw the predictions they price.  Each mutant
-is the whole module written back by ``ast.unparse``; a control run of the unmutated
-``ast.unparse`` form of every module in scope must pass first.  Each mutant then runs
-the tier-1 suite with ``-x``, its module's own test file first.  A mutant the suite
-passes survives; it is open unless ``EQUIVALENT`` names it, by function and source
-text, with the reason it cannot change an output.  A run that takes over 10 minutes
-or 3 GiB of address space counts as killed.  The script exits 1 on an open survivor,
-and on an ``EQUIVALENT`` entry that does not name exactly one surviving mutant.
+the boundaries, on the single-prediction path and in the simulation grid, those that
+read or draw the predictions they price, and the reader of a matrix's rows.  Each
+mutant is the whole module written back by ``ast.unparse``; a control run of the
+unmutated ``ast.unparse`` form of every module in scope must pass first.  Each mutant
+then runs the tier-1 suite with ``-x``, its module's own test file first.  A mutant
+the suite passes survives; it is open unless ``EQUIVALENT`` names it, by function and
+source text, with the reason it cannot change an output.  A run that takes over 10
+minutes or 3 GiB of address space counts as killed.  The script exits 1 on an open
+survivor, and on an ``EQUIVALENT`` entry that does not name exactly one surviving
+mutant.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ SCOPE = {
             "induced_inputs", "qa_cost_vector",
         ),
     ),
-    "io": ("tests/test_io.py", ("parse_prediction", "_labels_by_row")),
+    "io": ("tests/test_io.py", ("_read_rows", "parse_prediction", "_labels_by_row")),
     "model": (
         "tests/test_model.py",
         (
@@ -72,6 +73,10 @@ EQUIVALENT = {
         "it guards a division for a project without files; no block size changes",
     ("model", "_members_hit", "len(starts) - 1", "len(starts) - 2"):
         "it disables the single-member shortcut; np.minimum.reduceat gives the same hits",
+    ("io", "_read_rows", "max(1, _BLOCK // stride)", "max(2, _BLOCK // stride)"):
+        "it sets only how many rows a block holds; no id, size or 1 position depends on it",
+    ("io", "_read_rows", "initial=0", "initial=1"):
+        "every size read is at least 1, and with no sizes 1 is still below 2^53",
 }
 
 _SWAPS = {

