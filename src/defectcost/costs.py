@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputContractError, _instance, _number
+from .errors import InputContractError, _instance, _number, _shown
 from .model import OutcomeSummary, Project, Relationship, _defects_hit
 
 
@@ -97,6 +97,13 @@ _PARAM_RULES = {
     ),
 }
 
+# (field, what its values are named by, rule) of each mapping of GeneralCostInputs
+_MAPPING_RULES = (
+    ("qa_costs", "qa cost for artifact", _PARAM_RULES["c_init"]),
+    ("losses", "loss for defect", _PARAM_RULES["c_init"]),
+    ("qf_values", "qf value for defect", ("a number in [0, 1]", _is_probability)),
+)
+
 
 @dataclass(frozen=True, slots=True)
 class CostParams:
@@ -129,7 +136,9 @@ class CostParams:
 class GeneralCostInputs:
     """Fully general per-artifact QA costs and per-defect losses and failure rates.
 
-    ``c_init`` and ``c_exec`` are checked and stored as in ``CostParams``."""
+    Each mapping is copied into a new dict.  A QA cost or a loss is a finite number
+    >= 0 and a qf value a number in [0, 1], each stored as the equal Python ``int``
+    or ``float``; ``c_init`` and ``c_exec`` are checked and stored as in ``CostParams``."""
 
     qa_costs: Mapping[str, float]
     losses: Mapping[str, float]
@@ -138,6 +147,12 @@ class GeneralCostInputs:
     c_exec: float = 0.0
 
     def __post_init__(self):
+        for name, what, rule in _MAPPING_RULES:
+            values = getattr(self, name)
+            if not isinstance(values, Mapping):
+                raise InputContractError(f"{name} must be a mapping, got {_shown(values)}")
+            values = {key: _number(f"{what} {_shown(key)}", v, *rule) for key, v in values.items()}
+            object.__setattr__(self, name, values)
         for name in ("c_init", "c_exec"):
             value = _number(name, getattr(self, name), *_PARAM_RULES[name])
             object.__setattr__(self, name, value)
@@ -174,6 +189,7 @@ def cost_general(project: Project, outcome: OutcomeSummary, inputs: GeneralCostI
 
     The mappings must be total on the project's artifacts and defects.
     """
+    _instance("inputs", inputs, GeneralCostInputs)
     defect_ids = project._defect_ids
     for artifact_id in project._file_ids:
         if artifact_id not in inputs.qa_costs:

@@ -64,13 +64,9 @@ _MASK64 = (1 << 64) - 1
 DEFAULT_ACCURACIES: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DEFAULT_P_QF_VALUES: tuple[float, ...] = (0.0, 0.5)
 
-# run_grid stacks the labelings of up to _BLOCK_CELLS cells and reduces them
-# together, but never more than _BLOCK_LABELS labels at once, so memory stays
-# flat: a project of _BLOCK_LABELS files or more is evaluated one cell at a time.
-# Every per-cell sum is exact in any block, so the cell cap is for speed alone:
-# without it the paper_grid benchmark's stage1_ref rose 2.0 % (median of 10
-# alternating 20 s pairs, higher in 8) on a 2-core x86 host.
-_BLOCK_CELLS = 64
+# run_grid stacks the labelings of as many cells as fit in _BLOCK_LABELS labels
+# and reduces them together, so memory stays flat: a project of _BLOCK_LABELS
+# files or more is evaluated one cell at a time.
 _BLOCK_LABELS = 1 << 16
 
 
@@ -348,7 +344,7 @@ def _cell_sums(project: Project, config: GridConfig, views: dict) -> tuple[np.nd
     n_cells = len(config.accuracies) * repetitions
     spent = np.empty((len(QAMode), n_cells))
     hits = {rel: np.empty((n_cells, onehot.shape[1])) for rel, onehot in onehots.items()}
-    block = max(1, min(_BLOCK_CELLS, _BLOCK_LABELS // max(n, 1)))
+    block = max(1, _BLOCK_LABELS // max(n, 1))
     uniforms = np.empty((block, n))
     states = _pcg64_states(_cell_seeds(config.seed, len(config.accuracies), repetitions))
     accuracies = np.repeat(config.accuracies, repetitions)[:, None]

@@ -122,7 +122,7 @@ def reference_grid(project, config):
     return records
 
 
-def dense_cell_sums(project, config, block_cells, block_labels):
+def dense_cell_sums(project, config, block_labels):
     """QA spent per mode (cells, 2) and the hits per view (cells, K) of
     ``simulation._cell_sums`` under its block rule, from dense label rows, by the
     per-view formulas it replaced: QA spent is ``labels @ QA cost per mode``; n-m
@@ -140,7 +140,7 @@ def dense_cell_sums(project, config, block_cells, block_labels):
     indicators = np.eye(len(ks))[cardinality]
     width = min(1, len(ks))  # one column per single-member view, none without defects
     cells = [(a, r) for a in range(len(config.accuracies)) for r in range(config.repetitions)]
-    block = max(1, min(block_cells, block_labels // max(n, 1)))
+    block = max(1, block_labels // max(n, 1))
     spent, hits = [], {rel: [] for rel in Relationship}
     for start in range(0, len(cells), block):
         rows = np.array(

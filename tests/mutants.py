@@ -10,7 +10,7 @@ never touched, and mutates the copy's ``src/`` one site at a time with stdlib ``
 
 The scope is ``SCOPE``: the functions that compute the costs, the hits, the views and
 the boundaries, on the single-prediction path and in the simulation grid, those that
-read or draw the predictions they price, and the reader of a matrix's rows.  Each
+read or draw the predictions they price, a matrix's row reader and the trend bins.  Each
 mutant is the whole module written back by ``ast.unparse``; a control run of the
 unmutated ``ast.unparse`` form of every module in scope must pass first.  Each mutant
 then runs the tier-1 suite with ``-x``, its module's own test file first.  A mutant
@@ -58,6 +58,7 @@ SCOPE = {
             "perfect_prediction", "constant_prediction",
         ),
     ),
+    "reporting": ("tests/test_reporting.py", ("_bins", "_points", "trend")),
     "simulation": ("tests/test_simulation.py", ("_cell_sums", "run_grid", "simulate_prediction")),
 }
 

@@ -1,6 +1,9 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,6 +123,46 @@ class TestCostGeneral:
         )
         with pytest.raises(InputContractError, match="missing qf value for defect 'd2'"):
             cost_general(project_e, outcome_e, broken)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("qa_costs", math.nan), ("qa_costs", -5.0), ("qa_costs", True), ("qa_costs", "x"),
+            ("losses", math.inf), ("losses", None), ("qf_values", 1.5), ("qf_values", -0.5),
+        ],
+    )
+    def test_mapping_values_are_checked(self, project_e, field, value):
+        rule = {
+            "qa_costs": "qa cost for artifact 's1' must be a finite number >= 0",
+            "losses": "loss for defect 'd1' must be a finite number >= 0",
+            "qf_values": r"qf value for defect 'd1' must be a number in \[0, 1\]",
+        }[field]
+        fields = dataclasses.asdict(unit_inputs(project_e))  # copies of its dicts
+        fields[field][next(iter(fields[field]))] = value
+        with pytest.raises(InputContractError, match=f"^{rule}, got {re.escape(repr(value))}$"):
+            GeneralCostInputs(**fields)
+
+    @pytest.mark.parametrize("field", ["qa_costs", "losses", "qf_values"])
+    @pytest.mark.parametrize("value", [None, 5, [("s1", 1.0)], "s1"])
+    def test_mappings_are_mappings(self, field, value):
+        fields = {"qa_costs": {}, "losses": {}, "qf_values": {}, field: value}
+        with pytest.raises(InputContractError, match=f"^{field} must be a mapping, got "):
+            GeneralCostInputs(**fields)
+
+    def test_mapping_values_stored_as_python_numbers_in_new_dicts(self, project_e, outcome_e):
+        qa_costs = {"s1": np.int64(1), "s2": np.float32(1.0), "s3": 1}
+        inputs = GeneralCostInputs(qa_costs, {"d1": np.int32(10), "d2": 10.0}, {"d1": 1, "d2": 0})
+        assert inputs.qa_costs == qa_costs and inputs.qa_costs is not qa_costs
+        stored = [*inputs.qa_costs.values(), *inputs.losses.values(), *inputs.qf_values.values()]
+        assert [type(v) for v in stored] == [int, float, int, int, float, int, int]
+        qa_costs["s1"] = -1  # the caller's dict is not read again
+        # s1 spent, d1 hit and always escaping, d2 missed
+        assert cost_general(project_e, outcome_e, inputs) == 1 + 10 + 10
+
+    @pytest.mark.parametrize("value", [5, None, {"qa_costs": {}}])
+    def test_inputs_are_general_cost_inputs(self, project_e, outcome_e, value):
+        with pytest.raises(InputContractError, match="^inputs must be a GeneralCostInputs, got "):
+            cost_general(project_e, outcome_e, value)
 
     def test_hand_built_outcome_hits_come_from_predicted_artifacts(self, project_e, outcome_e):
         # s1 alone predicted: d1 is hit and d2 missed, whatever the id sets say

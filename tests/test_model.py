@@ -322,7 +322,8 @@ class TestInvariantEnforcement:
             Project("p", (Artifact("a", 1),), (Defect("d", frozenset({"zz"})),))
 
     def test_single_member_required_in_derived_views(self):
-        with pytest.raises(InputContractError):
+        message = "^defect 'd' has 2 members, but the 1-m view requires exactly one$"
+        with pytest.raises(InputContractError, match=message):
             Project(
                 "p",
                 (Artifact("a", 1), Artifact("b", 1)),
@@ -331,11 +332,27 @@ class TestInvariantEnforcement:
             )
 
     def test_one_to_one_forbids_shared_artifacts(self):
-        with pytest.raises(InputContractError):
+        message = "^artifact 'a' appears in more than one defect in a 1-1 view$"
+        with pytest.raises(InputContractError, match=message):
             Project(
                 "p",
                 (Artifact("a", 1),),
                 (Defect("d0", frozenset({"a"})), Defect("d1", frozenset({"a"}))),
+                relationship=Relationship.ONE_TO_ONE,
+            )
+
+    def test_one_to_one_reports_the_member_count_first(self):
+        # the shared artifact comes first, but every member count is checked before it
+        message = "^defect 'd' has 2 members, but the 1-1 view requires exactly one$"
+        with pytest.raises(InputContractError, match=message):
+            Project(
+                "p",
+                (Artifact("a", 1), Artifact("b", 1)),
+                (
+                    Defect("d0", frozenset({"a"})),
+                    Defect("d1", frozenset({"a"})),
+                    Defect("d", frozenset({"a", "b"})),
+                ),
                 relationship=Relationship.ONE_TO_ONE,
             )
 

@@ -410,6 +410,12 @@ class TestTrend:
         with pytest.raises(InputContractError, match=r"n_bins must be an integer in \[2, 10000\]"):
             draw(n_bins)
 
+    @pytest.mark.parametrize("n_bins", [2, 10_000])
+    def test_n_bins_range_ends_accepted(self, n_bins):
+        series = trend([record()], "precision", CONST_NM, "lower", n_bins=n_bins)
+        assert len(series.bins) == n_bins
+        assert sum(count for _, _, count in series.bins) == 1
+
     def test_unknown_metric(self):
         with pytest.raises(InputContractError):
             trend([record()], "accuracy", CONST_NM, "lower")

@@ -456,7 +456,7 @@ class TestAgainstReferenceLoop:
         project = random_project(rng, max_artifacts=30, max_defects=8)
         config = GridConfig(accuracies=(0.0, 0.3, 0.5, 0.7, 0.9, 1.0), repetitions=4, seed=12)
         expected = reference_grid(project, config)
-        monkeypatch.setattr(simulation, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(simulation, "_BLOCK_LABELS", cells * len(project.sizes))
         assert_matches_reference(run_grid(project, config), expected)
 
     def test_non_dyadic_p_qf_within_tolerance(self, rng):
@@ -504,17 +504,16 @@ class TestKernelAgainstDense:
     """``_cell_sums`` against the dense kernel it replaced (tests/grid_reference.py)."""
 
     @settings(max_examples=200, deadline=None)
-    @given(grid_cases(), st.sampled_from([1, 3]), st.sampled_from([None, 1, 3]))
-    def test_bitwise_equal(self, case, block_cells, labels_per_file):
+    @given(grid_cases(), st.sampled_from([None, 1, 3]))
+    def test_bitwise_equal(self, case, labels_per_file):
         # _BLOCK_LABELS of 1, n and 3n: one cell per block, or up to three
         project, config = case
         block_labels = labels_per_file * len(project.sizes) if labels_per_file else 1
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulation, "_BLOCK_CELLS", block_cells)
             patch.setattr(simulation, "_BLOCK_LABELS", block_labels)
             views = {rel: project_view(project, rel) for rel in Relationship}
             spent, hits = simulation._cell_sums(project, config, views)
-        dense_spent, dense_hits = dense_cell_sums(project, config, block_cells, block_labels)
+        dense_spent, dense_hits = dense_cell_sums(project, config, block_labels)
         assert list(hits) == list(dense_hits) == list(Relationship)
         for mine, dense in zip([spent, *hits.values()], [dense_spent, *dense_hits.values()]):
             assert mine.shape == dense.shape and mine.dtype == dense.dtype
